@@ -115,12 +115,14 @@ void BM_TransformerPrefillThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerPrefillThreads)->Arg(128);
 
+// The KV wire form's cursors (DESIGN.md §14): the engine's save and load
+// paths stream through exactly these.
 void BM_KvCacheSerialize(benchmark::State& state) {
   KvCache cache = BenchModel().MakeCache(PeMode::kDecoupled);
   const auto tokens = BenchTokens(static_cast<std::size_t>(state.range(0)));
   (void)BenchModel().Forward(tokens, cache);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Serialize());
+    benchmark::DoNotOptimize(cache.SerializeTokenMajor());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cache.byte_size()));
@@ -131,9 +133,12 @@ void BM_KvCacheDeserialize(benchmark::State& state) {
   KvCache cache = BenchModel().MakeCache(PeMode::kDecoupled);
   const auto tokens = BenchTokens(static_cast<std::size_t>(state.range(0)));
   (void)BenchModel().Forward(tokens, cache);
-  const auto bytes = cache.Serialize();
+  const auto bytes = cache.SerializeTokenMajor();
   for (auto _ : state) {
-    auto restored = KvCache::Deserialize(BenchModel().config(), bytes);
+    KvCache::TokenMajorDeserializer deserializer(BenchModel().config(), PeMode::kDecoupled,
+                                                 cache.seq_len());
+    deserializer.Consume(bytes);
+    auto restored = deserializer.Finish();
     benchmark::DoNotOptimize(restored);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -175,7 +180,7 @@ void BM_StorePutAccess(benchmark::State& state) {
   SessionId next = 0;
   for (auto _ : state) {
     const SessionId s = next++ % 512;
-    benchmark::DoNotOptimize(store.Put(s, MiB(8), 1000, {}, ++now, hints));
+    benchmark::DoNotOptimize(store.Put(s, MiB(8), 1000, ++now, hints));
     benchmark::DoNotOptimize(store.Access(s, ++now));
   }
   state.SetItemsProcessed(state.iterations());
@@ -197,9 +202,10 @@ void BM_StorePayloadRoundTrip(benchmark::State& state) {
   AttentionStore store(PayloadStoreConfig(true));
   const SchedulerHints hints;
   const std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0x5A);
+  SpanChunkSource source(payload, payload.size());  // opaque bytes: one token
   SimTime now = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.Put(1, payload.size(), 100, payload, ++now, hints));
+    benchmark::DoNotOptimize(store.Put(1, source, {}, ++now, hints));
     benchmark::DoNotOptimize(store.ReadPayload(1));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) * 2);
@@ -215,9 +221,10 @@ void BM_StoreWriteOnly(benchmark::State& state) {
   AttentionStore store(PayloadStoreConfig(state.range(1) != 0));
   const SchedulerHints hints;
   const std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0x5A);
+  SpanChunkSource source(payload, payload.size());  // opaque bytes: one token
   SimTime now = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.Put(1, payload.size(), 100, payload, ++now, hints));
+    benchmark::DoNotOptimize(store.Put(1, source, {}, ++now, hints));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
@@ -232,7 +239,8 @@ void BM_StoreReadOnly(benchmark::State& state) {
   AttentionStore store(PayloadStoreConfig(state.range(1) != 0));
   const SchedulerHints hints;
   const std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0x5A);
-  CA_CHECK(store.Put(1, payload.size(), 100, payload, 1, hints).ok());
+  SpanChunkSource source(payload, payload.size());  // opaque bytes: one token
+  CA_CHECK(store.Put(1, source, {}, 1, hints).ok());
   for (auto _ : state) {
     benchmark::DoNotOptimize(store.ReadPayload(1));
   }
@@ -269,9 +277,9 @@ void BM_StoreRecoveryOpen(benchmark::State& state) {
     CA_CHECK(opened.ok()) << opened.status();
     const SchedulerHints hints;
     const std::vector<std::uint8_t> payload(KiB(64), 0x5A);
+    SpanChunkSource source(payload, payload.size());  // opaque bytes: one token
     for (std::uint64_t s = 1; s <= records; ++s) {
-      CA_CHECK(
-          opened->Put(s, payload.size(), 100, payload, static_cast<SimTime>(s), hints).ok());
+      CA_CHECK(opened->Put(s, source, {}, static_cast<SimTime>(s), hints).ok());
     }
   }
   for (auto _ : state) {
@@ -314,12 +322,12 @@ void BM_StoreSharedPrefixPut(benchmark::State& state) {
   {
     // Warm-up put pays the one-time chunk writes; iterations measure dedup.
     SpanChunkSource source(payload, bytes_per_token);
-    CA_CHECK(store.PutShared(1'000'000, tokens, source, ++now, hints).ok());
+    CA_CHECK(store.Put(1'000'000, source, tokens, ++now, hints).ok());
   }
   for (auto _ : state) {
     const SessionId s = next++ % 512;
     SpanChunkSource source(payload, bytes_per_token);
-    benchmark::DoNotOptimize(store.PutShared(s, tokens, source, ++now, hints));
+    benchmark::DoNotOptimize(store.Put(s, source, tokens, ++now, hints));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload.size()));
@@ -350,14 +358,14 @@ void BM_PrefixLookup(benchmark::State& state) {
   const std::vector<std::uint8_t> payload(prefix_tokens * bytes_per_token, 0xA5);
   SimTime now = 0;
   SpanChunkSource warm(payload, bytes_per_token);
-  CA_CHECK(store.PutShared(1, tokens, warm, ++now, hints).ok());
+  CA_CHECK(store.Put(1, warm, tokens, ++now, hints).ok());
   // Tail-nonempty rule: the last chunk of an exact multiple stays private,
   // so an N-chunk prefix probes the index N-1 times per put.
   const std::int64_t probes_per_put =
       static_cast<std::int64_t>(prefix_tokens / config.share_chunk_tokens) - 1;
   for (auto _ : state) {
     SpanChunkSource source(payload, bytes_per_token);
-    benchmark::DoNotOptimize(store.PutShared(1, tokens, source, ++now, hints));
+    benchmark::DoNotOptimize(store.Put(1, source, tokens, ++now, hints));
   }
   state.SetItemsProcessed(state.iterations() * probes_per_put);
 }

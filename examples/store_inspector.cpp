@@ -40,12 +40,12 @@ int main() {
 
   std::printf("1. Three sessions' KV caches fill DRAM:\n");
   for (SessionId s = 1; s <= 3; ++s) {
-    CA_CHECK_OK(store.Put(s, MiB(4), 1000, {}, static_cast<SimTime>(s), no_hints));
+    CA_CHECK_OK(store.Put(s, MiB(4), 1000, static_cast<SimTime>(s), no_hints));
   }
   Dump(store);
 
   std::printf("\n2. A fourth session arrives; the LRU victim (s1) is demoted to disk:\n");
-  CA_CHECK_OK(store.Put(4, MiB(4), 1000, {}, 4, no_hints));
+  CA_CHECK_OK(store.Put(4, MiB(4), 1000, 4, no_hints));
   Dump(store);
 
   std::printf("\n3. Same situation, but the job queue says s2 is needed next, so the\n"
@@ -54,7 +54,7 @@ int main() {
   hints.next_use_index[2] = 0;  // s2's next job is at the queue head
   hints.next_use_index[4] = 1;
   hints.next_use_index[5] = 2;
-  CA_CHECK_OK(store.Put(5, MiB(4), 1000, {}, 5, hints));
+  CA_CHECK_OK(store.Put(5, MiB(4), 1000, 5, hints));
   Dump(store);
 
   std::printf("\n4. The prefetcher plans disk->DRAM fetches for upcoming jobs\n"

@@ -22,69 +22,38 @@ double SecondsSince(std::uint64_t start_ns) {
   return static_cast<double>(TraceNowNs() - start_ns) * 1e-9;
 }
 
-// Adapters marrying the model-layer serialisation cursors to the store's
-// zero-copy payload protocol. The model cannot depend on the store (layering
-// DAG) and vice versa, so the glue lives here in core.
-class SerializerSource final : public PayloadSource {
- public:
-  explicit SerializerSource(KvCache::Serializer& serializer) : serializer_(serializer) {}
+// Adapters marrying the model-layer wire-form cursors to the store's
+// payload protocol. The model cannot depend on the store (layering DAG) and
+// vice versa, so the glue lives here in core.
 
-  std::uint64_t size() const override { return serializer_.size(); }
-  void Reset() override { serializer_.Reset(); }
-  void Fill(std::span<std::uint8_t> dest) override { serializer_.Fill(dest); }
-
- private:
-  KvCache::Serializer& serializer_;
-};
-
-class DeserializerSink final : public PayloadSink {
- public:
-  explicit DeserializerSink(KvCache::StreamingDeserializer& deserializer)
-      : deserializer_(deserializer) {}
-
-  void Reset() override { deserializer_.Reset(); }
-  void Consume(std::span<const std::uint8_t> chunk) override { deserializer_.Consume(chunk); }
-
- private:
-  KvCache::StreamingDeserializer& deserializer_;
-};
-
-// Token-major counterparts (prefix sharing, DESIGN.md §17).
-class TokenMajorSource final : public PayloadSource {
- public:
-  explicit TokenMajorSource(KvCache::TokenMajorSerializer& serializer)
-      : serializer_(&serializer) {}
-
-  std::uint64_t size() const override { return serializer_->size(); }
-  void Reset() override { serializer_->Reset(); }
-  void Fill(std::span<std::uint8_t> dest) override { serializer_->Fill(dest); }
-
- private:
-  KvCache::TokenMajorSerializer* serializer_;
-};
-
-// ChunkedPayloadSource over the live cache: PutShared pulls exactly the
-// token ranges it misses on, each served by a fresh TokenMajorSerializer
-// cursor — dedup hits cost no serialization at all.
-class CacheChunkSource final : public ChunkedPayloadSource {
+// The store's view of the live cache: Put pulls exactly the token ranges it
+// must write, each through a fresh TokenMajorSerializer cursor, so the KV
+// bytes go tensors → tier block memory in one pass and dedup hits are never
+// serialized at all.
+class CacheChunkSource final : public ChunkedPayloadSource, private PayloadSource {
  public:
   explicit CacheChunkSource(const KvCache& cache) : cache_(&cache) {}
 
   std::uint64_t total_tokens() const override { return cache_->seq_len(); }
   std::uint64_t bytes_per_token() const override { return cache_->token_major_bytes_per_token(); }
   PayloadSource& Range(std::uint64_t token_begin, std::uint64_t token_end) override {
-    serializer_.emplace(*cache_, static_cast<std::size_t>(token_begin),
-                        static_cast<std::size_t>(token_end));
-    source_.emplace(*serializer_);
-    return *source_;
+    cursor_.emplace(*cache_, static_cast<std::size_t>(token_begin),
+                    static_cast<std::size_t>(token_end));
+    return *this;
   }
 
  private:
+  // PayloadSource over the current range.
+  std::uint64_t size() const override { return cursor_->size(); }
+  void Reset() override { cursor_->Reset(); }
+  void Fill(std::span<std::uint8_t> dest) override { cursor_->Fill(dest); }
+
   const KvCache* cache_;
-  std::optional<KvCache::TokenMajorSerializer> serializer_;
-  std::optional<TokenMajorSource> source_;
+  std::optional<KvCache::TokenMajorSerializer> cursor_;
 };
 
+// Load side: the store streams tier bytes straight into the deserializer,
+// which parses into the final tensor storage.
 class TokenMajorSink final : public PayloadSink {
  public:
   explicit TokenMajorSink(KvCache::TokenMajorDeserializer& deserializer)
@@ -97,20 +66,23 @@ class TokenMajorSink final : public PayloadSink {
   KvCache::TokenMajorDeserializer* deserializer_;
 };
 
+// The history as the store's dedup tokens (TokenId bit patterns).
+std::span<const std::uint32_t> TokenBits(std::span<const TokenId> history) {
+  static_assert(sizeof(TokenId) == sizeof(std::uint32_t));
+  return {reinterpret_cast<const std::uint32_t*>(history.data()), history.size()};
+}
+
 // --- durable user-meta blob ---------------------------------------------
 //
-// v1 (pre-sharing engines): the raw host-endian TokenId history, nothing
-// else. v2 (written only when prefix sharing is configured) prepends a
-// two-byte header so the purity bit survives a restart:
+// Durable stores journal the visible token history next to each payload so
+// a restarted process can rebuild the session, with the purity bit that
+// decides whether its next save may dedup:
 //   [u8 version=2][u8 kv_pure][raw TokenId history bytes]
-// Decoding sniffs the version by exact length against the record's token
-// count — the two layouts differ by exactly 2 bytes, so a blob can never
-// satisfy both checks.
-constexpr std::uint8_t kHistoryMetaV2 = 2;
+constexpr std::uint8_t kHistoryMetaVersion = 2;
 
-std::vector<std::uint8_t> EncodeHistoryMetaV2(std::span<const TokenId> history, bool kv_pure) {
+std::vector<std::uint8_t> EncodeHistoryMeta(std::span<const TokenId> history, bool kv_pure) {
   std::vector<std::uint8_t> blob(2 + history.size() * sizeof(TokenId));
-  blob[0] = kHistoryMetaV2;
+  blob[0] = kHistoryMetaVersion;
   blob[1] = kv_pure ? 1 : 0;
   std::memcpy(blob.data() + 2, history.data(), history.size() * sizeof(TokenId));
   return blob;
@@ -123,27 +95,16 @@ struct DecodedHistoryMeta {
 
 std::optional<DecodedHistoryMeta> DecodeHistoryMeta(const std::vector<std::uint8_t>& meta,
                                                     std::uint64_t token_count) {
-  if (meta.empty() || token_count == 0) {
+  const std::uint64_t history_bytes = token_count * sizeof(TokenId);
+  if (token_count == 0 || meta.size() != 2 + history_bytes || meta[0] != kHistoryMetaVersion ||
+      meta[1] > 1) {
     return std::nullopt;
   }
   DecodedHistoryMeta out;
-  const std::uint64_t history_bytes = token_count * sizeof(TokenId);
-  if (meta.size() == 2 + history_bytes && meta[0] == kHistoryMetaV2 && meta[1] <= 1) {
-    out.kv_pure = meta[1] == 1;
-    out.history.resize(token_count);
-    std::memcpy(out.history.data(), meta.data() + 2, history_bytes);
-    return out;
-  }
-  if (meta.size() == history_bytes) {
-    // v1: no purity bit persisted; assume impure so the restored session
-    // never feeds unverifiable rows into the shared prefix index (the next
-    // full recompute restores purity and with it dedup eligibility).
-    out.kv_pure = false;
-    out.history.resize(token_count);
-    std::memcpy(out.history.data(), meta.data(), history_bytes);
-    return out;
-  }
-  return std::nullopt;
+  out.kv_pure = meta[1] == 1;
+  out.history.resize(token_count);
+  std::memcpy(out.history.data(), meta.data() + 2, history_bytes);
+  return out;
 }
 
 // The engine always stores real payloads: capacity-only mode exists for the
@@ -363,7 +324,6 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
   }
 
   const std::size_t pre_drop_history = state.history.size();
-  bool recompute = !options_.reuse_kv;
   bool cache_loaded = false;
 
   if (options_.reuse_kv) {
@@ -372,11 +332,11 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
       MutexLock lock(mutex_);
       store_.Remove(session);
     }
-    if (result.truncated && options_.overflow_policy == OverflowPolicy::kTokenTruncate) {
-      // TT: truncation operates on token text; the stored KV (embedded at
-      // old positions in a conventional engine) is unusable — recompute.
-      recompute = true;
-    } else {
+    // TT: truncation operates on token text; the stored KV (embedded at
+    // old positions in a conventional engine) is unusable — recompute.
+    const bool text_truncated =
+        result.truncated && options_.overflow_policy == OverflowPolicy::kTokenTruncate;
+    if (!text_truncated) {
       WaitForPendingSave(session);
       CA_TRACE_SPAN("store.lookup", "session", session);
       std::optional<KvRecordInfo> info;
@@ -390,61 +350,39 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
         // checksum mismatch, undeserializable payload — costs a recompute of
         // the history, never the turn.
         // Zero-copy load: the store streams tier bytes straight into the
-        // deserializer (memory tiers hand over arena spans), which parses
-        // into the final tensor storage — no staging payload vector. On any
-        // non-OK read the half-built deserializer state is simply never
-        // Finish()ed, which is the discard the sink contract requires.
-        bool payload_ok = false;
-        // Shared records (PutShared) carry headerless token-major bytes; the
-        // shape travels out of band (record token count + engine PE mode).
-        // Private records keep the legacy self-describing wire form.
-        KvCache::StreamingDeserializer deserializer(model_->config());
-        std::optional<KvCache::TokenMajorDeserializer> tm_deserializer;
-        if (info->shared) {
-          tm_deserializer.emplace(model_->config(), pe_mode(),
-                                  static_cast<std::size_t>(info->token_count));
-        }
+        // deserializer — no staging payload vector. The wire form is
+        // headerless; its shape travels out of band (record token count +
+        // engine PE mode). On any non-OK read the half-built deserializer
+        // state is simply never Finish()ed, which is the discard the sink
+        // contract requires.
+        KvCache::TokenMajorDeserializer deserializer(model_->config(), pe_mode(),
+                                                     static_cast<std::size_t>(info->token_count));
+        TokenMajorSink sink(deserializer);
+        Status read;
         {
-          DeserializerSink legacy_sink(deserializer);
-          std::optional<TokenMajorSink> tm_sink;
-          if (tm_deserializer.has_value()) {
-            tm_sink.emplace(*tm_deserializer);
-          }
-          PayloadSink& sink =
-              tm_sink.has_value() ? static_cast<PayloadSink&>(*tm_sink) : legacy_sink;
           MutexLock lock(mutex_);
-          const Status read = store_.ReadPayloadInto(session, sink);
-          if (read.ok()) {
-            payload_ok = true;
-          } else {
-            CA_LOG(Warn) << "session " << session
-                         << " KV load degraded to a miss: " << read;
-          }
+          read = store_.ReadPayloadInto(session, sink);
         }
         std::optional<KvCache> loaded_cache;
-        if (payload_ok) {
-          auto loaded = tm_deserializer.has_value() ? tm_deserializer->Finish()
-                                                    : deserializer.Finish();
-          if (loaded.ok()) {
-            loaded_cache = std::move(*loaded);
-          } else {
-            // The bytes came back checksum-clean but do not parse: a
-            // poisoned payload. Drop it so the miss is consistent.
-            CA_LOG(Warn) << "session " << session
-                         << " KV payload undeserializable, dropped: " << loaded.status();
-            MutexLock lock(mutex_);
-            store_.Remove(session);
-          }
+        if (!read.ok()) {
+          CA_LOG(Warn) << "session " << session << " KV load degraded to a miss: " << read;
+        } else if (auto loaded = deserializer.Finish(); loaded.ok()) {
+          loaded_cache = std::move(*loaded);
+        } else {
+          // The bytes came back checksum-clean but do not parse: a poisoned
+          // payload. Drop it so the miss is consistent.
+          CA_LOG(Warn) << "session " << session
+                       << " KV payload undeserializable, dropped: " << loaded.status();
+          MutexLock lock(mutex_);
+          store_.Remove(session);
         }
         if (!loaded_cache.has_value()) {
           result.cache_load_fault = true;
           load_fault_counter_->Add();
           CA_TRACE_INSTANT("engine.cache_load_fault", "session", session);
-          recompute = true;
         } else if (loaded_cache->seq_len() != pre_drop_history) {
           CA_LOG(Warn) << "session " << session << " cache holds " << loaded_cache->seq_len()
                        << " tokens, history is " << pre_drop_history << "; recomputing";
-          recompute = true;
         } else {
           cache = std::move(*loaded_cache);
           // KV cache truncation (valid for decoupled PE; deliberately
@@ -460,8 +398,6 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
           result.cache_hit = true;
           result.hit_tier = info->tier;
         }
-      } else {
-        recompute = true;
       }
     }
   }
@@ -479,7 +415,6 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
   // Miss / recompute path: rebuild the history KV from the token text. A
   // full recompute is by definition the pure prefill of the visible
   // history, so it restores the session's sharing eligibility.
-  (void)recompute;
   state.kv_pure = true;
   CA_CHECK_EQ(cache.seq_len(), 0U);
   if (!state.history.empty()) {
@@ -635,7 +570,7 @@ std::size_t CachedAttentionEngine::MaybeCompress(SessionState& state, KvCache& c
   cache.DiscardTokens(discard);
   // The kept rows were computed attending over the discarded ones: not the
   // pure prefill of the compressed history, so no prefix sharing for this
-  // cache (SaveCache falls back to the private payload path).
+  // cache (SaveCache stores it whole as the session's own piece).
   state.kv_pure = false;
   // Keep the visible token history aligned with the cache: drop the same
   // positions (discard indices are strictly increasing).
@@ -659,54 +594,27 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
   if (cache.seq_len() == 0) {
     return;
   }
-  const std::span<const TokenId> history(state.history);
-  const std::uint64_t tokens = cache.seq_len();
-  // Prefix sharing (DESIGN.md §17): pure caches go through PutShared in
-  // token-major form so identical history prefixes dedup across sessions.
-  // Impure caches (KV-truncated / compressed rows) and compression-enabled
-  // engines (purity flips turn to turn; keep the formats uniform) fall back
-  // to the private whole-payload path — replies stay bitwise-identical
-  // either way, sharing only changes where the bytes live.
-  const bool share = options_.store.share_prefixes && state.kv_pure &&
-                     options_.compression.policy == CompressionPolicy::kNone;
-  // Durable stores persist the visible token history next to the payload so
-  // a restarted process can rebuild the session (RestoreSessions). Sharing
-  // engines write the v2 blob (purity bit + history); everything else keeps
-  // the raw v1 TokenId bytes. The journal treats the blob as opaque.
-  std::vector<std::uint8_t> meta_storage;
-  std::span<const std::uint8_t> user_meta;
+  CA_CHECK_EQ(state.history.size(), cache.seq_len());
+  // Prefix sharing (DESIGN.md §17): a pure cache hands the store its token
+  // history, so identical history prefixes dedup across sessions when the
+  // store shares prefixes. An impure one (KV-truncated or compressed rows)
+  // is stored whole as the session's own piece. Replies stay
+  // bitwise-identical either way — sharing only changes where bytes live.
+  const std::span<const std::uint32_t> dedup_tokens =
+      state.kv_pure ? TokenBits(state.history) : std::span<const std::uint32_t>{};
+  // Durable stores persist the visible history and purity bit next to the
+  // payload so a restarted process can rebuild the session
+  // (RestoreSessions). The journal treats the blob as opaque.
+  std::vector<std::uint8_t> user_meta;
   if (options_.store.durable) {
-    CA_CHECK_EQ(history.size(), cache.seq_len());
-    if (options_.store.share_prefixes) {
-      meta_storage = EncodeHistoryMetaV2(history, state.kv_pure);
-      user_meta = meta_storage;
-    } else {
-      user_meta = std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(history.data()),
-          history.size() * sizeof(TokenId));
-    }
+    user_meta = EncodeHistoryMeta(state.history, state.kv_pure);
   }
   if (write_stream_ == nullptr) {
-    // Synchronous save: the serializer cursor feeds the store's zero-copy
-    // Put, so the KV bytes go tensors → tier block memory in one pass with
-    // the checksum folded in along the way — no staging vector. The shared
-    // path goes one better: ranges the prefix index already holds are never
-    // serialized at all.
     MutexLock lock(mutex_);
-    const SchedulerHints hints = CurrentHintsLocked();
-    Status s = Status::Ok();
-    if (share) {
-      CacheChunkSource source(cache);
-      const std::span<const std::uint32_t> token_bits(
-          reinterpret_cast<const std::uint32_t*>(history.data()), history.size());
-      CA_TRACE_SPAN("engine.save", "session", session, "tokens", tokens);
-      s = store_.PutShared(session, token_bits, source, WallNow(), hints, user_meta);
-    } else {
-      KvCache::Serializer serializer(cache);
-      SerializerSource source(serializer);
-      CA_TRACE_SPAN("engine.save", "session", session, "bytes", source.size());
-      s = store_.Put(session, tokens, source, WallNow(), hints, user_meta);
-    }
+    CacheChunkSource source(cache);
+    CA_TRACE_SPAN("engine.save", "session", session, "tokens", cache.seq_len());
+    const Status s =
+        store_.Put(session, source, dedup_tokens, WallNow(), CurrentHintsLocked(), user_meta);
     if (!s.ok()) {
       CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
     }
@@ -714,34 +622,11 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
   }
   // Serialize now: the cache buffer is only valid during this turn, and the
   // async stream outlives it, so the payload must be materialised before it
-  // crosses threads. (The store side still moves vector → tier zero-copy.)
-  // The history and meta blobs are copied for the same reason; the shared
-  // path needs the history as PutShared's token argument.
-  std::vector<std::uint8_t> payload = share ? cache.SerializeTokenMajor() : cache.Serialize();
-  std::vector<std::uint8_t> meta_copy(user_meta.begin(), user_meta.end());
-  std::vector<TokenId> history_copy =
-      share ? std::vector<TokenId>(history.begin(), history.end()) : std::vector<TokenId>{};
+  // crosses threads (the store side still moves vector → tier without a
+  // further copy). The dedup tokens are copied for the same reason.
+  std::vector<std::uint8_t> payload = cache.SerializeTokenMajor();
+  std::vector<std::uint32_t> dedup_copy(dedup_tokens.begin(), dedup_tokens.end());
   const std::uint64_t bytes_per_token = cache.token_major_bytes_per_token();
-  // Invoked with mutex_ held (the stream task below locks first).
-  auto do_put = [this, session, tokens, share, bytes_per_token](
-                    const std::vector<std::uint8_t>& bytes,
-                    const std::vector<std::uint8_t>& meta,
-                    const std::vector<TokenId>& hist) {
-    mutex_.AssertHeld();
-    const SchedulerHints hints = CurrentHintsLocked();
-    Status s = Status::Ok();
-    if (share) {
-      SpanChunkSource source(bytes, bytes_per_token);
-      const std::span<const std::uint32_t> token_bits(
-          reinterpret_cast<const std::uint32_t*>(hist.data()), hist.size());
-      s = store_.PutShared(session, token_bits, source, WallNow(), hints, meta);
-    } else {
-      s = store_.Put(session, bytes.size(), tokens, bytes, WallNow(), hints, meta);
-    }
-    if (!s.ok()) {
-      CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
-    }
-  };
   // Asynchronous write stream (§3.2.2): the save overlaps the caller's next
   // work; readers of this session block in WaitForPendingSave until it
   // lands. The flow link ties the serving thread's enqueue to the save span
@@ -754,14 +639,18 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
     MutexLock lock(mutex_);
     pending_saves_.insert(session);
   }
-  write_stream_->Submit([this, session, flow, do_put, payload = std::move(payload),
-                         meta_copy = std::move(meta_copy),
-                         history_copy = std::move(history_copy)] {
+  write_stream_->Submit([this, session, flow, bytes_per_token, payload = std::move(payload),
+                         dedup_copy = std::move(dedup_copy), user_meta = std::move(user_meta)] {
     {
       CA_TRACE_SPAN("engine.save.async", "session", session, "bytes", payload.size());
       CA_TRACE_FLOW_END("engine.save.async", flow);
       MutexLock lock(mutex_);
-      do_put(payload, meta_copy, history_copy);
+      SpanChunkSource source(payload, bytes_per_token);
+      const Status s =
+          store_.Put(session, source, dedup_copy, WallNow(), CurrentHintsLocked(), user_meta);
+      if (!s.ok()) {
+        CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
+      }
       pending_saves_.erase(session);
     }
     save_done_.NotifyAll();

@@ -287,10 +287,10 @@ class CachedAttentionEngine {
   // visible token text, already aligned with the cache (history.size() ==
   // cache.seq_len()). Durable stores persist it as the record's user-meta
   // blob so Create() can rebuild the session after a restart; ephemeral
-  // stores ignore it. When prefix sharing is on and the cache is pure
-  // (state.kv_pure, no compression), the save goes through PutShared in
-  // token-major form so identical prefixes dedup across sessions;
-  // otherwise it falls back to the private whole-payload Put.
+  // stores ignore it. A pure cache (state.kv_pure) also hands the store its
+  // history as dedup tokens, so identical prefixes dedup across sessions
+  // when the store shares prefixes; an impure one is stored whole as the
+  // session's own piece.
   void SaveCache(SessionId session, const KvCache& cache, const SessionState& state)
       CA_EXCLUDES(mutex_);
   void WaitForPendingSave(SessionId session) CA_EXCLUDES(mutex_);

@@ -9,12 +9,11 @@
 //    each token had when it was computed. TruncateFront on such a cache
 //    produces the paper's NKVT corruption.
 //
-// The cache serialises to a flat byte buffer so AttentionStore can move it
-// across memory/disk tiers without knowing the tensor layout.
+// The cache serialises to a flat token-major byte stream so AttentionStore
+// can move it across memory/disk tiers without knowing the tensor layout.
 #ifndef CA_MODEL_KV_CACHE_H_
 #define CA_MODEL_KV_CACHE_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -76,68 +75,22 @@ class KvCache {
   // Removes all cached tokens.
   void Clear();
 
-  // fp32 byte footprint of the cached tensors (excludes header).
+  // fp32 byte footprint of the cached tensors (equals the wire size).
   std::uint64_t byte_size() const;
 
   KvCache Clone() const;
 
-  // Flat-buffer serialisation (header + raw fp32 data).
-  std::vector<std::uint8_t> Serialize() const;
-  static Result<KvCache> Deserialize(const ModelConfig& config,
-                                     std::span<const std::uint8_t> bytes);
-
-  // --- zero-copy serialisation (DESIGN.md §14) -------------------------
-
-  // Wire size of the header (4x u32 + u64; static_assert'd in kv_cache.cc).
-  static constexpr std::size_t kSerializedHeaderBytes = 24;
-
-  // Exact Serialize() output size without materialising the buffer.
-  std::uint64_t SerializedSize() const { return kSerializedHeaderBytes + byte_size(); }
-
-  // Serialize() into a caller-owned buffer of exactly SerializedSize() bytes.
-  void SerializeInto(std::span<std::uint8_t> out) const;
-
-  // Cursor over the serialized wire form. Fill() produces successive byte
-  // windows straight out of the cache's tensors (plus a small header copy),
-  // so the engine's save path hands this to the store and the KV bytes land
-  // directly in tier block memory — no staging vector. The cache must stay
-  // alive and unmodified while a Serializer reads it.
-  class Serializer {
-   public:
-    explicit Serializer(const KvCache& cache);
-
-    std::uint64_t size() const { return total_; }
-    void Reset() {
-      seg_ = 0;
-      seg_off_ = 0;
-    }
-    // Produces the next dest.size() bytes of the wire form.
-    void Fill(std::span<std::uint8_t> dest);
-
-   private:
-    struct Segment {
-      const std::uint8_t* data = nullptr;
-      std::size_t len = 0;
-    };
-
-    std::array<std::uint8_t, kSerializedHeaderBytes> header_ = {};
-    std::vector<Segment> segments_;  // header, then per layer K, V
-    std::uint64_t total_ = 0;
-    std::size_t seg_ = 0;
-    std::size_t seg_off_ = 0;
-  };
-
-  // --- token-major wire form (prefix sharing, DESIGN.md §17) -----------
+  // --- wire form (DESIGN.md §14, §17) ----------------------------------
   //
-  // Alternative headerless layout used by the store's shared-prefix chunks:
-  // for token t, for layer l: the K row then the V row (kv_dim floats each).
-  // Byte offset t * token_major_bytes_per_token() is therefore a token
-  // boundary, which is what lets the store split a payload into fixed
-  // token-count chunks and dedup them across sessions. Shape (pe_mode,
-  // n_layers, kv_dim, seq_len) travels out of band via the store's record
-  // metadata, not a header.
+  // The one serialized layout, headerless and token-major: for token t, for
+  // layer l, the K row then the V row (kv_dim floats each). Byte offset
+  // t * token_major_bytes_per_token() is therefore a token boundary, which
+  // lets the store split a payload at any token and dedup fixed token-count
+  // chunks across sessions. Shape (pe_mode, n_layers, kv_dim, seq_len)
+  // travels out of band: the model config, the engine's PE mode and the
+  // store's record token count.
 
-  // Bytes one token occupies in the token-major form (2 rows per layer).
+  // Bytes one token occupies in the wire form (2 rows per layer).
   static std::uint64_t TokenMajorBytesPerToken(const ModelConfig& config) {
     return static_cast<std::uint64_t>(2 * config.n_layers * config.kv_dim()) * sizeof(float);
   }
@@ -145,8 +98,9 @@ class KvCache {
     return static_cast<std::uint64_t>(2 * k_.size() * kv_dim_) * sizeof(float);
   }
 
-  // Restartable cursor over the token-major bytes of tokens
-  // [token_begin, token_end). Same lifetime contract as Serializer: the
+  // Restartable cursor over the wire bytes of tokens [token_begin,
+  // token_end). Fill() copies straight out of the cache's tensors, so the
+  // engine's save path lands KV bytes directly in tier block memory. The
   // cache must stay alive and unmodified while the cursor reads it.
   class TokenMajorSerializer {
    public:
@@ -158,7 +112,7 @@ class KvCache {
       row_ = 0;
       row_off_ = 0;
     }
-    // Produces the next dest.size() bytes of the token-major form.
+    // Produces the next dest.size() bytes of the wire form.
     void Fill(std::span<std::uint8_t> dest);
 
    private:
@@ -171,12 +125,16 @@ class KvCache {
     std::size_t row_off_ = 0;  // bytes already emitted of the current row
   };
 
-  // Materialised token-major form of the whole cache (async save path).
+  // Materialised wire form of the whole cache (async save path).
   std::vector<std::uint8_t> SerializeTokenMajor() const;
 
-  // Streaming inverse of the token-major form. seq_len arrives out of band
-  // (the store's record token count); Consume takes arbitrary chunking and
-  // Finish() validates the byte count and yields the cache.
+  // Streaming inverse of the wire form. seq_len arrives out of band (the
+  // store's record token count). Consume takes arbitrary chunking and copies
+  // straight into the final tensor storage; errors (overlong input, a
+  // seq_len beyond the context window) are remembered, later chunks are
+  // swallowed, and Finish() reports the first failure or a byte-count
+  // mismatch. Reset() restarts the pass (the store's read-retry loop
+  // replays the stream).
   class TokenMajorDeserializer {
    public:
     TokenMajorDeserializer(const ModelConfig& config, PeMode pe_mode, std::size_t seq_len);
@@ -191,7 +149,8 @@ class KvCache {
     const ModelConfig* config_;
     PeMode pe_mode_;
     std::size_t seq_len_ = 0;
-    // unique_ptr for the same incomplete-type reason as StreamingDeserializer.
+    // unique_ptr, not optional: KvCache is still incomplete inside its own
+    // nested class, and optional needs the complete type.
     std::unique_ptr<KvCache> cache_;
     Status error_ = Status::Ok();
     std::uint64_t expected_total_ = 0;
@@ -199,46 +158,6 @@ class KvCache {
     std::size_t token_ = 0;
     std::size_t row_ = 0;
     std::size_t row_off_ = 0;
-  };
-
-  // Incremental inverse: chunks of the wire form arrive in byte order (any
-  // chunking) via Consume; Finish() validates and yields the cache. Once the
-  // header has been consumed and validated, payload bytes are copied
-  // straight into the final tensor storage — no whole-payload staging
-  // buffer. Errors (bad magic, shape mismatch, over/undershoot) are
-  // remembered; subsequent chunks are swallowed and Finish() reports the
-  // first failure. Reset() restarts a fresh pass (the store's read-retry
-  // loop replays the stream).
-  class StreamingDeserializer {
-   public:
-    explicit StreamingDeserializer(const ModelConfig& config) : config_(&config) {}
-
-    void Reset();
-    void Consume(std::span<const std::uint8_t> chunk);
-    // Consumes the built cache; the deserializer is spent afterwards
-    // (Reset() before reuse).
-    Result<KvCache> Finish();
-
-   private:
-    void ParseHeader();
-
-    struct Segment {
-      std::uint8_t* data = nullptr;
-      std::size_t len = 0;
-    };
-
-    const ModelConfig* config_;
-    std::array<std::uint8_t, kSerializedHeaderBytes> header_ = {};
-    std::size_t header_have_ = 0;
-    // unique_ptr, not optional: KvCache is still incomplete inside its own
-    // nested class, and optional needs the complete type.
-    std::unique_ptr<KvCache> cache_;
-    Status error_ = Status::Ok();
-    std::vector<Segment> segments_;  // per layer K, V (into cache_'s tensors)
-    std::size_t seg_ = 0;
-    std::size_t seg_off_ = 0;
-    std::uint64_t expected_total_ = 0;
-    std::uint64_t consumed_ = 0;
   };
 
  private:

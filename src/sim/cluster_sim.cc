@@ -299,8 +299,8 @@ void ClusterSim::FinishTurn(const ActiveJob& done) {
       });
     }
     const SchedulerHints hints = CurrentHints();
-    const Status put = store_.Put(done.job.session, save_bytes, done.context_tokens, {},
-                                  events_.now(), hints);
+    const Status put =
+        store_.Put(done.job.session, save_bytes, done.context_tokens, events_.now(), hints);
     if (!put.ok()) {
       CA_LOG(Debug) << "KV of session " << done.job.session << " dropped: " << put;
     }

@@ -154,7 +154,7 @@ void MultiNodeSim::FinishTurn(ShardId node_id, SessionId session, std::uint32_t 
   ++metrics_.turns;
 
   const Status saved =
-      node.store->Put(session, timing_.KvBytes(state.history_tokens), state.history_tokens, {},
+      node.store->Put(session, timing_.KvBytes(state.history_tokens), state.history_tokens,
                       events_.now(), SchedulerHints{});
   if (!saved.ok()) {
     CA_LOG(Debug) << "sim KV save for session " << session << " dropped: " << saved;

@@ -72,6 +72,7 @@ class HashingSource final : public PayloadSource {
 
 // Read-side twin: hashes the chunks as they stream past on their way to the
 // consumer, so the verification costs no second pass over the payload.
+// Hashes one piece per instance; the store restarts whole passes itself.
 class HashingSink final : public PayloadSink {
  public:
   HashingSink(PayloadSink& inner, bool enabled) : inner_(inner), enabled_(enabled) {}
@@ -93,6 +94,17 @@ class HashingSink final : public PayloadSink {
   PayloadSink& inner_;
   const bool enabled_;
   ChunkedHash64 hash_;
+};
+
+// Collects a streamed payload. Callers reserve the full size first, so the
+// chunks append into uninitialized capacity instead of overwriting a
+// memset buffer.
+struct VectorSink final : PayloadSink {
+  std::vector<std::uint8_t> data;
+  void Reset() override { data.clear(); }
+  void Consume(std::span<const std::uint8_t> chunk) override {
+    data.insert(data.end(), chunk.begin(), chunk.end());
+  }
 };
 
 // --- prefix-sharing helpers (DESIGN.md §17) --------------------------------
@@ -347,7 +359,6 @@ Status AttentionStore::RecoverFromJournal() {
                     .extent = std::move(extent),
                     .checksum = rec->checksum,
                     .user_meta = rec->user_meta,
-                    .shared_format = rec->shared_format,
                     .chunk_refs = rec->chunk_refs};
     used_bytes_[static_cast<std::size_t>(Tier::kDisk)] += record.block_bytes;
     next_insert_seq_ = std::max(next_insert_seq_, rec->insert_seq + 1);
@@ -393,7 +404,6 @@ void AttentionStore::JournalUpsert(const KvRecord& record,
   rec.last_access = record.last_access;
   rec.insert_seq = record.insert_seq;
   rec.checksum = record.checksum;
-  rec.shared_format = record.shared_format;
   rec.chunk_refs = record.chunk_refs;
   if (record.tier == Tier::kDisk) {
     rec.blocks = record.extent.blocks;
@@ -758,8 +768,6 @@ void AttentionStore::CheckInvariants() const {
       CA_CHECK_EQ(m.checksum, r.checksum) << "session " << id << " journal checksum drifted";
       CA_CHECK(m.user_meta == r.user_meta)
           << "session " << id << " journal user_meta drifted from the record copy";
-      CA_CHECK(m.shared_format == r.shared_format)
-          << "session " << id << " journal shared-format flag drifted";
       CA_CHECK(m.chunk_refs == r.chunk_refs)
           << "session " << id << " journal block table drifted from the record copy";
       if (r.tier == Tier::kDisk) {
@@ -905,88 +913,62 @@ Result<AttentionStore::WriteReceipt> AttentionStore::WriteWithRetry(BlockStorage
   }
 }
 
-Status AttentionStore::ReadVerifiedInto(BlockStorage& storage, const KvRecord& record, Tier tier,
-                                        std::span<std::uint8_t> out) {
-  const std::uint64_t start_ns = TraceNowNs();
+Status AttentionStore::ReadVerifiedStream(std::span<const KvRecord* const> pieces,
+                                          PayloadSink& sink, SessionId* failed) {
   std::uint64_t backoff_us = config_.io_retry_backoff_us;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const Status read = storage.ReadInto(record.extent, out);
-    if (read.ok()) {
-      if (!config_.verify_checksums || Checksum64(out) == record.checksum) {
-        RecordTierSuccess(tier);
-        auto& io = stats_.tier_io[static_cast<std::size_t>(tier)];
-        io.read_bytes += out.size();
-        io.read_ns += TraceNowNs() - start_ns;
-        return Status::Ok();
+    sink.Reset();  // every attempt replays the pass from the first piece
+    const KvRecord* piece = nullptr;
+    Status read = Status::Ok();
+    for (const KvRecord* p : pieces) {
+      piece = p;
+      read = ReadPiece(*p, sink);
+      if (!read.ok()) {
+        break;
       }
-      // Corrupt bytes read back "successfully": a torn write or short read.
-      // Retrying cannot help (the damage is persistent or the next read is
-      // equally suspect); the payload must never reach attention.
-      ++stats_.corrupt_payloads;
-      CA_TRACE_INSTANT("store.corrupt_payload", "session", record.session, "tier",
-                       TierName(tier));
-      const Status corrupt =
-          DataLossError("session " + std::to_string(record.session) +
-                        " payload failed checksum verification in " +
-                        std::string(TierName(tier)));
-      RecordTierFault(tier, corrupt);
-      return corrupt;
+    }
+    if (read.ok()) {
+      return read;
     }
     if (read.code() == StatusCode::kUnavailable && attempt < config_.io_retries) {
       ++stats_.io_retries;
-      CA_TRACE_INSTANT("store.io_retry", "tier", TierName(tier), "attempt", attempt + 1);
+      CA_TRACE_INSTANT("store.io_retry", "tier", TierName(piece->tier), "attempt", attempt + 1);
       if (backoff_us > 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
         backoff_us *= 2;
       }
       continue;
     }
-    RecordTierFault(tier, read);
+    RecordTierFault(piece->tier, read);
+    *failed = piece->session;
     return read;
   }
 }
 
-Status AttentionStore::ReadVerifiedStream(BlockStorage& storage, const KvRecord& record,
-                                          Tier tier, PayloadSink& sink) {
+Status AttentionStore::ReadPiece(const KvRecord& piece, PayloadSink& sink) {
   const std::uint64_t start_ns = TraceNowNs();
-  std::uint64_t backoff_us = config_.io_retry_backoff_us;
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    HashingSink hashed(sink, config_.verify_checksums);
-    hashed.Reset();  // retries replay the pass; the consumer restarts too
-    const Status read = storage.ReadZeroCopy(record.extent, hashed);
-    if (read.ok()) {
-      if (!config_.verify_checksums || hashed.digest() == record.checksum) {
-        RecordTierSuccess(tier);
-        auto& io = stats_.tier_io[static_cast<std::size_t>(tier)];
-        io.read_bytes += record.bytes;
-        io.read_ns += TraceNowNs() - start_ns;
-        return Status::Ok();
-      }
-      // Same verdict as ReadVerifiedInto — but the sink has already seen
-      // the torn bytes (single-pass streaming); the non-OK return obliges
-      // the caller to discard whatever it built.
-      ++stats_.corrupt_payloads;
-      CA_TRACE_INSTANT("store.corrupt_payload", "session", record.session, "tier",
-                       TierName(tier));
-      const Status corrupt =
-          DataLossError("session " + std::to_string(record.session) +
-                        " payload failed checksum verification in " +
-                        std::string(TierName(tier)));
-      RecordTierFault(tier, corrupt);
-      return corrupt;
-    }
-    if (read.code() == StatusCode::kUnavailable && attempt < config_.io_retries) {
-      ++stats_.io_retries;
-      CA_TRACE_INSTANT("store.io_retry", "tier", TierName(tier), "attempt", attempt + 1);
-      if (backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-        backoff_us *= 2;
-      }
-      continue;
-    }
-    RecordTierFault(tier, read);
-    return read;
+  BlockStorage* storage = Storage(piece.tier);
+  CA_CHECK(storage != nullptr);
+  HashingSink hashed(sink, config_.verify_checksums);
+  CA_RETURN_IF_ERROR(storage->ReadZeroCopy(piece.extent, hashed));
+  if (config_.verify_checksums && hashed.digest() != piece.checksum) {
+    // Corrupt bytes read back "successfully": a torn write or short read.
+    // Retrying cannot help (the damage is persistent or the next read is
+    // equally suspect); the payload must never reach attention — and the
+    // sink, which has already seen the torn bytes, is told so by the
+    // non-OK return.
+    ++stats_.corrupt_payloads;
+    CA_TRACE_INSTANT("store.corrupt_payload", "session", piece.session, "tier",
+                     TierName(piece.tier));
+    return DataLossError("session " + std::to_string(piece.session) +
+                         " payload failed checksum verification in " +
+                         std::string(TierName(piece.tier)));
   }
+  RecordTierSuccess(piece.tier);
+  auto& io = stats_.tier_io[static_cast<std::size_t>(piece.tier)];
+  io.read_bytes += piece.bytes;
+  io.read_ns += TraceNowNs() - start_ns;
+  return Status::Ok();
 }
 
 // --- lookup ----------------------------------------------------------------
@@ -1002,17 +984,20 @@ std::optional<KvRecordInfo> AttentionStore::GetInfo(SessionId session) const {
     return std::nullopt;
   }
   const KvRecord& r = it->second;
-  std::uint64_t payload_bytes = r.bytes;
-  for (const SessionId ref : r.chunk_refs) {
-    payload_bytes += records_.at(ref).bytes;
-  }
   return KvRecordInfo{.session = r.session,
                       .tier = r.tier,
                       .bytes = r.bytes,
                       .token_count = r.token_count,
                       .last_access = r.last_access,
-                      .shared = r.shared_format,
-                      .payload_bytes = payload_bytes};
+                      .payload_bytes = PayloadBytes(r)};
+}
+
+std::uint64_t AttentionStore::PayloadBytes(const KvRecord& record) const {
+  std::uint64_t bytes = record.bytes;
+  for (const SessionId ref : record.chunk_refs) {
+    bytes += records_.at(ref).bytes;
+  }
+  return bytes;
 }
 
 std::optional<KvRecordInfo> AttentionStore::Access(SessionId session, SimTime now) {
@@ -1106,8 +1091,11 @@ Status AttentionStore::MoveRecord(KvRecord& record, Tier target) {
     } else {
       BlockStorage* dst_storage = Storage(target);
       CA_CHECK(dst_storage != nullptr);
-      std::vector<std::uint8_t> data(record.bytes);
-      const Status read = ReadVerifiedInto(*src_storage, record, source, data);
+      VectorSink data;
+      data.data.reserve(record.bytes);
+      const KvRecord* piece = &record;
+      SessionId failed = kInvalidSession;
+      const Status read = ReadVerifiedStream({&piece, 1}, data, &failed);
       if (!read.ok()) {
         if (read.code() == StatusCode::kUnavailable) {
           return read;  // transient: record untouched, retryable later
@@ -1119,7 +1107,7 @@ Status AttentionStore::MoveRecord(KvRecord& record, Tier target) {
         record.tier = Tier::kNone;
         return read;
       }
-      SpanSource bytes(data);
+      SpanSource bytes(data.data);
       auto receipt = WriteWithRetry(*dst_storage, bytes, target);
       if (!receipt.ok()) {
         return receipt.status();  // nothing mutated: full rollback
@@ -1194,119 +1182,18 @@ bool AttentionStore::EnsureRoom(Tier tier, std::uint64_t needed, SessionId exclu
   return true;
 }
 
-Status AttentionStore::Put(SessionId session, std::uint64_t bytes, std::uint64_t token_count,
-                           std::span<const std::uint8_t> payload, SimTime now,
-                           const SchedulerHints& hints, std::span<const std::uint8_t> user_meta) {
-  if (config_.real_payloads) {
-    CA_CHECK_EQ(payload.size(), bytes) << "real-payload store requires the payload";
-    SpanSource source(payload);
-    return PutImpl(session, bytes, token_count, &source, now, hints, user_meta);
-  }
-  CA_CHECK(payload.empty()) << "payload passed to capacity-only store";
-  return PutImpl(session, bytes, token_count, nullptr, now, hints, user_meta);
-}
-
-Status AttentionStore::Put(SessionId session, std::uint64_t token_count, PayloadSource& payload,
-                           SimTime now, const SchedulerHints& hints,
-                           std::span<const std::uint8_t> user_meta) {
-  CA_CHECK(config_.real_payloads) << "zero-copy Put on capacity-only store";
-  return PutImpl(session, payload.size(), token_count, &payload, now, hints, user_meta);
-}
-
-Status AttentionStore::PutImpl(SessionId session, std::uint64_t bytes, std::uint64_t token_count,
-                               PayloadSource* payload, SimTime now, const SchedulerHints& hints,
-                               std::span<const std::uint8_t> user_meta) {
-  CA_CHECK_GT(bytes, 0ULL);
-  CA_TRACE_SPAN("store.put", "session", session, "bytes", bytes);
-
-  // Updating an existing record: release its old residency first so its own
-  // space counts as free for the new placement. The original insertion
-  // sequence is preserved so FIFO order reflects first insertion, not the
-  // latest update.
-  const auto it = records_.find(session);
-  const bool existed = it != records_.end();
-  std::uint64_t insert_seq = next_insert_seq_;
-  if (existed) {
-    insert_seq = it->second.insert_seq;
-    DropRecord(session);  // also unrefs shared chunks if the old record had any
-  } else {
-    ++next_insert_seq_;
-  }
-
+Result<AttentionStore::Placement> AttentionStore::PlacePayload(std::uint64_t bytes,
+                                                               PayloadSource* source,
+                                                               SessionId exclude, SimTime now,
+                                                               const SchedulerHints& hints) {
   const std::uint64_t block_bytes = RoundToBlocks(bytes);
   // Built lazily: the hot path (placement succeeds on the first tier) must
   // not pay for formatting a failure message it never returns.
   std::optional<Status> failure;
   for (const Tier tier : EnabledTiers()) {
     // A tier picked up-front can be quarantined by I/O failures while this
-    // very Put makes room or tries a faster tier; re-check before using it.
-    if (!TierEnabled(tier)) {
-      continue;
-    }
-    if (!EnsureRoom(tier, block_bytes, session, now, hints)) {
-      continue;
-    }
-    if (!TierEnabled(tier)) {
-      continue;
-    }
-    KvRecord record{.session = session,
-                    .tier = Tier::kNone,
-                    .bytes = bytes,
-                    .block_bytes = block_bytes,
-                    .token_count = token_count,
-                    .last_access = now,
-                    .insert_seq = insert_seq,
-                    .extent = {},
-                    .checksum = 0,
-                    .user_meta = {user_meta.begin(), user_meta.end()}};
-    if (config_.real_payloads) {
-      auto receipt = WriteWithRetry(*Storage(tier), *payload, tier);
-      if (!receipt.ok()) {
-        // A failed save is a future miss, never an abort: degrade to the
-        // next slower tier (or drop the record entirely below).
-        ++stats_.failed_puts;
-        failure = receipt.status();
-        continue;
-      }
-      record.extent = std::move(receipt->extent);
-      record.checksum = receipt->checksum;
-    }
-    used_bytes_[static_cast<std::size_t>(tier)] += block_bytes;
-    record.tier = tier;
-    const auto [rit, inserted] = records_.emplace(session, std::move(record));
-    CA_CHECK(inserted);
-    JournalUpsert(rit->second, user_meta, /*keep_existing_user_meta=*/false);
-    if (existed) {
-      ++stats_.updates;
-    } else {
-      ++stats_.inserts;
-    }
-    PurgeQuarantined();
-    MaybeAudit();
-    return Status::Ok();
-  }
-  // The record (if any) was released up-front; a failed re-Put must leave
-  // the journal agreeing that the session is gone.
-  if (existed) {
-    JournalErase(session);
-  }
-  PurgeQuarantined();
-  MaybeAudit();
-  return failure.has_value()
-             ? *failure
-             : ResourceExhaustedError("KV cache of session " + std::to_string(session) +
-                                      " fits in no tier");
-}
-
-Result<AttentionStore::Placement> AttentionStore::PlacePayload(std::uint64_t bytes,
-                                                               PayloadSource& source,
-                                                               SessionId exclude, SimTime now,
-                                                               const SchedulerHints& hints) {
-  const std::uint64_t block_bytes = RoundToBlocks(bytes);
-  std::optional<Status> failure;
-  for (const Tier tier : EnabledTiers()) {
-    // Same re-check discipline as PutImpl: making room can quarantine the
-    // very tier this iteration picked.
+    // very placement makes room or tries a faster tier; re-check before
+    // using it.
     if (!TierEnabled(tier)) {
       continue;
     }
@@ -1316,8 +1203,13 @@ Result<AttentionStore::Placement> AttentionStore::PlacePayload(std::uint64_t byt
     if (!TierEnabled(tier)) {
       continue;
     }
-    auto receipt = WriteWithRetry(*Storage(tier), source, tier);
+    if (source == nullptr) {
+      return Placement{.tier = tier, .extent = {}, .checksum = 0};
+    }
+    auto receipt = WriteWithRetry(*Storage(tier), *source, tier);
     if (!receipt.ok()) {
+      // A failed save is a future miss, never an abort: degrade to the
+      // next slower tier (or report that the payload fits nowhere).
       ++stats_.failed_puts;
       failure = receipt.status();
       continue;
@@ -1326,35 +1218,43 @@ Result<AttentionStore::Placement> AttentionStore::PlacePayload(std::uint64_t byt
                      .extent = std::move(receipt->extent),
                      .checksum = receipt->checksum};
   }
-  return failure.has_value() ? *failure : ResourceExhaustedError("payload fits in no tier");
+  return failure.has_value() ? *failure
+                             : ResourceExhaustedError("KV payload of session " +
+                                                      std::to_string(exclude) + " fits in no tier");
 }
 
-Status AttentionStore::PutShared(SessionId session, std::span<const std::uint32_t> tokens,
-                                 ChunkedPayloadSource& payload, SimTime now,
-                                 const SchedulerHints& hints,
-                                 std::span<const std::uint8_t> user_meta) {
-  CA_CHECK(config_.share_prefixes) << "PutShared on a store without share_prefixes";
-  CA_CHECK(config_.real_payloads) << "PutShared on capacity-only store";
-  CA_CHECK(!IsChunkId(session)) << "session ids must not carry the chunk bit";
-  CA_CHECK(!tokens.empty()) << "PutShared requires a non-empty token history";
-  CA_CHECK_EQ(tokens.size(), payload.total_tokens())
-      << "token history disagrees with the payload's token count";
-  const std::uint64_t bpt = payload.bytes_per_token();
-  CA_CHECK_GT(bpt, 0ULL);
-  CA_TRACE_SPAN("store.put_shared", "session", session, "tokens", tokens.size());
+void AttentionStore::InsertRecord(KvRecord record) {
+  used_bytes_[static_cast<std::size_t>(record.tier)] += record.block_bytes;
+  const SessionId session = record.session;
+  const auto [it, inserted] = records_.emplace(session, std::move(record));
+  CA_CHECK(inserted);
+  JournalUpsert(it->second, it->second.user_meta, /*keep_existing_user_meta=*/false);
+}
 
-  const std::uint64_t total_tokens = tokens.size();
+Status AttentionStore::Put(SessionId session, ChunkedPayloadSource& payload,
+                           std::span<const std::uint32_t> dedup_tokens, SimTime now,
+                           const SchedulerHints& hints, std::span<const std::uint8_t> user_meta) {
+  CA_CHECK(config_.real_payloads) << "payload Put on a capacity-only store";
+  CA_CHECK(!IsChunkId(session)) << "session ids must not carry the chunk bit";
+  const std::uint64_t total_tokens = payload.total_tokens();
+  const std::uint64_t bpt = payload.bytes_per_token();
+  CA_CHECK_GT(total_tokens * bpt, 0ULL) << "empty payload";
+  CA_TRACE_SPAN("store.put", "session", session, "bytes", total_tokens * bpt);
+
+  // Full chunks offered to the prefix index. The session's own piece always
+  // keeps >= 1 token, so every record has bytes > 0 and a real extent
+  // (store invariant): an exact multiple keeps its last chunk private.
+  std::uint64_t n_full = 0;
   const std::uint64_t chunk_tokens = std::max<std::uint32_t>(config_.share_chunk_tokens, 1);
-  // Tail-nonempty rule: the session's own record always keeps >= 1 token,
-  // so every record has bytes > 0 and a real extent (store invariant).
-  std::uint64_t n_full = total_tokens / chunk_tokens;
-  if (n_full > 0 && total_tokens % chunk_tokens == 0) {
-    --n_full;
+  const bool dedup = config_.share_prefixes && !dedup_tokens.empty();
+  if (dedup) {
+    CA_CHECK_EQ(dedup_tokens.size(), total_tokens)
+        << "token history disagrees with the payload's token count";
+    n_full = (total_tokens - 1) / chunk_tokens;
   }
 
-  // Snapshot the pre-existing record's identity up-front: chunk-placement
-  // evictions below could in principle touch it (it is exclude-protected,
-  // but the insert_seq must survive the explicit release either way).
+  // Snapshot the pre-existing record's identity up-front: its insertion
+  // sequence survives the update, so FIFO order reflects first insertion.
   const auto old_it = records_.find(session);
   const bool existed = old_it != records_.end();
   const std::uint64_t insert_seq = existed ? old_it->second.insert_seq : next_insert_seq_++;
@@ -1362,14 +1262,15 @@ Status AttentionStore::PutShared(SessionId session, std::span<const std::uint32_
   // Walk the chunk chain: match-or-create. Each matched/created chunk is
   // refcounted AND pinned immediately, so room-making for later chunks can
   // neither free a fresh chunk (no referrer table exists yet) nor evict a
-  // matched one.
+  // matched one. Chunk placement never touches the old record (`exclude`).
   std::vector<SessionId> new_refs;
   new_refs.reserve(n_full);
   SessionId parent = kInvalidSession;
   std::uint64_t parent_key = kChainSeed;
-  std::uint64_t tail_begin = 0;
+  std::uint64_t own_begin = 0;
   for (std::uint64_t c = 0; c < n_full; ++c) {
-    const std::span<const std::uint32_t> span = tokens.subspan(c * chunk_tokens, chunk_tokens);
+    const std::span<const std::uint32_t> span =
+        dedup_tokens.subspan(c * chunk_tokens, chunk_tokens);
     const std::uint64_t key = ChainKey(parent_key, span);
     ++stats_.prefix_lookups;
     SessionId chunk_id = kInvalidSession;
@@ -1388,27 +1289,24 @@ Status AttentionStore::PutShared(SessionId session, std::span<const std::uint32_
       stats_.shared_bytes_saved += chunk_tokens * bpt;
     } else {
       PayloadSource& source = payload.Range(c * chunk_tokens, (c + 1) * chunk_tokens);
-      auto placed = PlacePayload(chunk_tokens * bpt, source, session, now, hints);
+      auto placed = PlacePayload(chunk_tokens * bpt, &source, session, now, hints);
       if (!placed.ok()) {
         // The chunk fits nowhere: fold the rest of the prefix into the
-        // session's private tail and stop deduplicating here.
+        // session's own piece and stop deduplicating here.
         break;
       }
       chunk_id = kChunkSessionBit | next_chunk_id_++;
-      KvRecord record{.session = chunk_id,
-                      .tier = placed->tier,
-                      .bytes = chunk_tokens * bpt,
-                      .block_bytes = RoundToBlocks(chunk_tokens * bpt),
-                      .token_count = chunk_tokens,
-                      .last_access = now,
-                      .insert_seq = next_insert_seq_++,
-                      .extent = std::move(placed->extent),
-                      .checksum = placed->checksum,
-                      .user_meta = EncodeChunkMeta(key, parent, span)};
-      used_bytes_[static_cast<std::size_t>(placed->tier)] += record.block_bytes;
-      const auto [rit, inserted] = records_.emplace(chunk_id, std::move(record));
-      CA_CHECK(inserted);
-      JournalUpsert(rit->second, rit->second.user_meta, /*keep_existing_user_meta=*/false);
+      InsertRecord(KvRecord{.session = chunk_id,
+                            .tier = placed->tier,
+                            .bytes = chunk_tokens * bpt,
+                            .block_bytes = RoundToBlocks(chunk_tokens * bpt),
+                            .token_count = chunk_tokens,
+                            .last_access = now,
+                            .insert_seq = next_insert_seq_++,
+                            .extent = std::move(placed->extent),
+                            .checksum = placed->checksum,
+                            .user_meta = EncodeChunkMeta(key, parent, span),
+                            .chunk_refs = {}});
       chunks_.emplace(chunk_id, SharedChunk{key, parent, {span.begin(), span.end()}, 0});
       prefix_index_[key].push_back(chunk_id);
       ++stats_.chunks_created;
@@ -1418,195 +1316,134 @@ Status AttentionStore::PutShared(SessionId session, std::span<const std::uint32_
     new_refs.push_back(chunk_id);
     parent = chunk_id;
     parent_key = key;
-    tail_begin = (c + 1) * chunk_tokens;
+    own_begin = (c + 1) * chunk_tokens;
   }
 
-  // Release the old record now (decrefs its old table); its former chunks
-  // that this save re-matched stay alive through the references taken above.
+  // Release the old record now so its own space counts as free for the
+  // placement below (this also decrefs its old block table; chunks this
+  // save re-matched stay alive through the references taken above).
   if (existed) {
     DropRecord(session);
   }
 
-  // Private tail: the divergent remainder (plus any chunks that found no
-  // room). Always >= 1 token by the tail-nonempty rule.
-  const std::uint64_t tail_bytes = (total_tokens - tail_begin) * bpt;
-  PayloadSource& tail_source = payload.Range(tail_begin, total_tokens);
-  auto placed = PlacePayload(tail_bytes, tail_source, session, now, hints);
+  // The session's own piece: the divergent remainder (plus any chunks that
+  // found no room) — the whole payload when nothing was offered for dedup.
+  const std::uint64_t own_bytes = (total_tokens - own_begin) * bpt;
+  PayloadSource& own_source = payload.Range(own_begin, total_tokens);
+  auto placed = PlacePayload(own_bytes, &own_source, session, now, hints);
+  pinned_chunks_.clear();
   if (!placed.ok()) {
     // Nothing to keep: un-reference (and thereby free any freshly created)
-    // chunks, and make the journal agree the session is gone.
-    pinned_chunks_.clear();
+    // chunks. DropRecord already told the journal the session is gone.
     for (const SessionId ref : new_refs) {
       UnrefChunk(ref);
     }
-    if (existed) {
-      JournalErase(session);
-    }
-    ++stats_.failed_puts;
     PurgeQuarantined();
     MaybeAudit();
     return placed.status();
   }
-  KvRecord record{.session = session,
-                  .tier = placed->tier,
-                  .bytes = tail_bytes,
-                  .block_bytes = RoundToBlocks(tail_bytes),
-                  .token_count = total_tokens,
-                  .last_access = now,
-                  .insert_seq = insert_seq,
-                  .extent = std::move(placed->extent),
-                  .checksum = placed->checksum,
-                  .user_meta = {user_meta.begin(), user_meta.end()},
-                  .shared_format = true,
-                  .chunk_refs = std::move(new_refs)};
-  used_bytes_[static_cast<std::size_t>(placed->tier)] += record.block_bytes;
-  const auto [rit, inserted] = records_.emplace(session, std::move(record));
-  CA_CHECK(inserted);
-  JournalUpsert(rit->second, user_meta, /*keep_existing_user_meta=*/false);
-  if (existed) {
-    ++stats_.updates;
-  } else {
-    ++stats_.inserts;
+  InsertRecord(KvRecord{.session = session,
+                        .tier = placed->tier,
+                        .bytes = own_bytes,
+                        .block_bytes = RoundToBlocks(own_bytes),
+                        .token_count = total_tokens,
+                        .last_access = now,
+                        .insert_seq = insert_seq,
+                        .extent = std::move(placed->extent),
+                        .checksum = placed->checksum,
+                        .user_meta = {user_meta.begin(), user_meta.end()},
+                        .chunk_refs = std::move(new_refs)});
+  ++(existed ? stats_.updates : stats_.inserts);
+  if (dedup) {
+    ++stats_.shared_puts;
   }
-  ++stats_.shared_puts;
-  pinned_chunks_.clear();
   PurgeQuarantined();
   MaybeAudit();
   return Status::Ok();
 }
 
-Status AttentionStore::ReadPieceInto(const KvRecord& record, std::span<std::uint8_t> out) {
-  BlockStorage* storage = Storage(record.tier);
-  CA_CHECK(storage != nullptr);
-  return ReadVerifiedInto(*storage, record, record.tier, out);
+Status AttentionStore::Put(SessionId session, std::uint64_t bytes, std::uint64_t token_count,
+                           SimTime now, const SchedulerHints& hints,
+                           std::span<const std::uint8_t> user_meta) {
+  CA_CHECK(!config_.real_payloads) << "capacity-only Put on a real-payload store";
+  CA_CHECK(!IsChunkId(session)) << "session ids must not carry the chunk bit";
+  CA_CHECK_GT(bytes, 0ULL);
+  CA_TRACE_SPAN("store.put", "session", session, "bytes", bytes);
+  const auto old_it = records_.find(session);
+  const bool existed = old_it != records_.end();
+  const std::uint64_t insert_seq = existed ? old_it->second.insert_seq : next_insert_seq_++;
+  if (existed) {
+    DropRecord(session);
+  }
+  auto placed = PlacePayload(bytes, /*source=*/nullptr, session, now, hints);
+  if (!placed.ok()) {
+    PurgeQuarantined();
+    MaybeAudit();
+    return placed.status();
+  }
+  InsertRecord(KvRecord{.session = session,
+                        .tier = placed->tier,
+                        .bytes = bytes,
+                        .block_bytes = RoundToBlocks(bytes),
+                        .token_count = token_count,
+                        .last_access = now,
+                        .insert_seq = insert_seq,
+                        .extent = {},
+                        .checksum = 0,
+                        .user_meta = {user_meta.begin(), user_meta.end()},
+                        .chunk_refs = {}});
+  ++(existed ? stats_.updates : stats_.inserts);
+  PurgeQuarantined();
+  MaybeAudit();
+  return Status::Ok();
 }
 
-Result<std::vector<std::uint8_t>> AttentionStore::ReadPayload(SessionId session) {
-  CA_CHECK(config_.real_payloads) << "ReadPayload on capacity-only store";
+Status AttentionStore::ReadPayloadInto(SessionId session, PayloadSink& sink) {
+  CA_CHECK(config_.real_payloads) << "ReadPayloadInto on capacity-only store";
   CA_TRACE_SPAN("store.read_payload", "session", session);
   const auto it = records_.find(session);
   if (it == records_.end()) {
     return NotFoundError("session " + std::to_string(session));
   }
   KvRecord& r = it->second;
-  // Collect via the streaming read path with reserve + insert instead of a
-  // value-initialized vector: resize() would memset the whole payload (a
-  // full extra memory pass per MiB-scale read) before the copy overwrites
-  // it, while insert() from the streamed chunks copies straight into
-  // uninitialized capacity.
-  struct VectorSink final : PayloadSink {
-    std::vector<std::uint8_t> data;
-    void Reset() override { data.clear(); }
-    void Consume(std::span<const std::uint8_t> chunk) override {
-      data.insert(data.end(), chunk.begin(), chunk.end());
-    }
-  };
-  VectorSink sink;
-  if (!r.chunk_refs.empty()) {
-    // Shared record: delegate to the piece-wise path (it owns the failure
-    // semantics — a permanent chunk failure cascades to every referrer).
-    std::uint64_t total = r.bytes;
+  // The logical payload: the block table's chunks in order, then the
+  // session's own piece (alone for a private record).
+  std::vector<const KvRecord*> pieces;
+  pieces.reserve(r.chunk_refs.size() + 1);
+  for (const SessionId ref : r.chunk_refs) {
+    pieces.push_back(&records_.at(ref));
+  }
+  pieces.push_back(&r);
+  SessionId failed = kInvalidSession;
+  const Status read = ReadVerifiedStream(pieces, sink, &failed);
+  if (read.ok()) {
     for (const SessionId ref : r.chunk_refs) {
-      total += records_.at(ref).bytes;
-    }
-    sink.data.reserve(total);
-    const Status read = ReadPayloadInto(session, sink);
-    if (read.ok()) {
-      return std::move(sink.data);
+      records_.at(ref).last_access = r.last_access;
     }
     return read;
-  }
-  BlockStorage* storage = Storage(r.tier);
-  CA_CHECK(storage != nullptr);
-  sink.data.reserve(r.bytes);
-  const Status read = ReadVerifiedStream(*storage, r, r.tier, sink);
-  if (read.ok()) {
-    return std::move(sink.data);
   }
   ++stats_.failed_reads;
   if (read.code() != StatusCode::kUnavailable) {
     // Permanent failure or corruption: the payload is untrustworthy. Drop
-    // the record so this miss is consistent on every subsequent lookup.
-    DropRecord(session);
-    ++stats_.fault_evictions;
+    // it so this miss is consistent on every subsequent lookup — for a
+    // shared chunk, for every session that references it.
+    if (IsChunkId(failed)) {
+      DropChunkReferrers(failed, &StoreStats::fault_evictions);
+    } else {
+      DropRecord(session);
+      ++stats_.fault_evictions;
+    }
   }
   PurgeQuarantined();
   MaybeAudit();
   return read;
 }
 
-Status AttentionStore::ReadPayloadInto(SessionId session, PayloadSink& sink) {
-  CA_CHECK(config_.real_payloads) << "ReadPayloadInto on capacity-only store";
-  CA_TRACE_SPAN("store.read_payload", "session", session, "zero_copy", 1);
-  const auto it = records_.find(session);
-  if (it == records_.end()) {
-    return NotFoundError("session " + std::to_string(session));
-  }
-  KvRecord& r = it->second;
-  if (!r.chunk_refs.empty()) {
-    // Shared record: the logical payload is the concatenation of its chunk
-    // payloads followed by the private tail. Each piece is read and
-    // verified against its OWN checksum into a staging buffer before the
-    // sink sees it (ReadVerifiedStream's retry semantics would Reset the
-    // outer sink mid-stream, and a later piece's corruption must not leak
-    // earlier pieces' bytes as "complete").
-    sink.Reset();
-    std::vector<std::uint8_t> staging;
-    const auto read_piece = [&](const KvRecord& piece) {
-      if (staging.size() < piece.bytes) {
-        staging.resize(piece.bytes);
-      }
-      return ReadPieceInto(piece, std::span<std::uint8_t>(staging.data(), piece.bytes));
-    };
-    // Iterate over a copy of the table: the failure paths mutate records_.
-    const std::vector<SessionId> refs = r.chunk_refs;
-    for (const SessionId ref : refs) {
-      KvRecord& chunk = records_.at(ref);
-      const Status piece = read_piece(chunk);
-      if (!piece.ok()) {
-        ++stats_.failed_reads;
-        if (piece.code() != StatusCode::kUnavailable) {
-          // The shared block is untrustworthy: every referencing session
-          // must miss consistently from now on, not just this one.
-          DropChunkReferrers(ref, &StoreStats::fault_evictions);
-        }
-        PurgeQuarantined();
-        MaybeAudit();
-        return piece;
-      }
-      chunk.last_access = r.last_access;
-      sink.Consume(std::span<const std::uint8_t>(staging.data(), chunk.bytes));
-    }
-    const Status tail = read_piece(r);
-    if (!tail.ok()) {
-      ++stats_.failed_reads;
-      if (tail.code() != StatusCode::kUnavailable) {
-        DropRecord(session);
-        ++stats_.fault_evictions;
-      }
-      PurgeQuarantined();
-      MaybeAudit();
-      return tail;
-    }
-    sink.Consume(std::span<const std::uint8_t>(staging.data(), r.bytes));
-    return Status::Ok();
-  }
-  BlockStorage* storage = Storage(r.tier);
-  CA_CHECK(storage != nullptr);
-  const Status read = ReadVerifiedStream(*storage, r, r.tier, sink);
-  if (read.ok()) {
-    return read;
-  }
-  ++stats_.failed_reads;
-  if (read.code() != StatusCode::kUnavailable) {
-    // Same drop-on-permanent-failure semantics as ReadPayload; the caller
-    // additionally discards whatever the sink consumed before the verdict.
-    DropRecord(session);
-    ++stats_.fault_evictions;
-  }
-  PurgeQuarantined();
-  MaybeAudit();
-  return read;
+Result<std::vector<std::uint8_t>> AttentionStore::ReadPayload(SessionId session) {
+  VectorSink sink;
+  sink.data.reserve(GetInfo(session).value_or(KvRecordInfo{}).payload_bytes);
+  CA_RETURN_IF_ERROR(ReadPayloadInto(session, sink));
+  return std::move(sink.data);
 }
 
 Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
@@ -1616,34 +1453,22 @@ Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
   }
   // Read the payload before snapshotting the metadata: a permanent read
   // failure drops the record (ReadPayload semantics), so the record lookup
-  // below is only valid after a clean read.
+  // below is only valid after a clean read. A session with shared chunks
+  // exports its materialized full payload — self-contained by design, the
+  // importing store knows nothing of this store's chunk registry.
   std::vector<std::uint8_t> payload;
   if (config_.real_payloads) {
-    auto read = ReadPayload(session);
-    if (!read.ok()) {
-      return read.status();
-    }
-    payload = *std::move(read);
+    CA_ASSIGN_OR_RETURN(payload, ReadPayload(session));
   }
   const KvRecord& r = records_.at(session);
   ExportedRecord out;
   out.session = session;
+  out.bytes = PayloadBytes(r);
   out.token_count = r.token_count;
+  out.checksum = config_.verify_checksums && !payload.empty() ? Checksum64(payload) : 0;
   out.last_access = r.last_access;
-  out.user_meta = r.user_meta;
-  out.shared_format = r.shared_format;
-  if (!r.chunk_refs.empty()) {
-    // Shared record: the snapshot is the materialized full payload (chunks
-    // + tail), self-contained by design — the importing store knows nothing
-    // of this store's chunk registry. The per-record checksum covers only
-    // the tail, so stamp a fresh one over the assembled bytes.
-    out.bytes = payload.size();
-    out.checksum = config_.verify_checksums ? Checksum64(payload) : 0;
-  } else {
-    out.bytes = r.bytes;
-    out.checksum = r.checksum;
-  }
   out.payload = std::move(payload);
+  out.user_meta = r.user_meta;
   ++stats_.exports;
   return out;
 }
@@ -1663,6 +1488,13 @@ Status AttentionStore::ImportRecord(const ExportedRecord& record, SimTime now,
     if (record.payload.size() != record.bytes) {
       return InvalidArgumentError("exported payload size disagrees with its metadata");
     }
+    // The payload comes from outside the store: it must split into whole
+    // tokens before it can become a token-addressed record.
+    if (record.token_count == 0 || record.bytes % record.token_count != 0) {
+      return InvalidArgumentError("exported payload of " + std::to_string(record.bytes) +
+                                  " bytes does not split into " +
+                                  std::to_string(record.token_count) + " whole tokens");
+    }
     // Re-verify on the importing side: the checksum was stamped over the
     // clean pre-transport bytes, so damage between export and import
     // surfaces here, before any block is written.
@@ -1672,24 +1504,12 @@ Status AttentionStore::ImportRecord(const ExportedRecord& record, SimTime now,
       return DataLossError("session " + std::to_string(record.session) +
                            " import payload failed checksum re-verification");
     }
-    SpanSource source(record.payload);
-    placed = PutImpl(record.session, record.bytes, record.token_count, &source, now, hints,
-                     record.user_meta);
+    SpanChunkSource source(record.payload, record.bytes / record.token_count);
+    placed = Put(record.session, source, /*dedup_tokens=*/{}, now, hints, record.user_meta);
   } else {
-    placed = PutImpl(record.session, record.bytes, record.token_count, nullptr, now, hints,
-                     record.user_meta);
+    placed = Put(record.session, record.bytes, record.token_count, now, hints, record.user_meta);
   }
   if (placed.ok()) {
-    if (record.shared_format) {
-      // The imported record is private (no chunk table survives transport)
-      // but its payload is token-major; preserve the flag so the engine's
-      // load path parses it with the right deserializer. Re-journal so the
-      // durable mirror agrees.
-      KvRecord& r = records_.at(record.session);
-      r.shared_format = true;
-      JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
-      MaybeAudit();
-    }
     ++stats_.imports;
   }
   return placed;
@@ -1873,8 +1693,6 @@ std::vector<SessionId> AttentionStore::SessionsInTier(Tier tier) const {
   }
   return out;
 }
-
-void AttentionStore::EraseRecord(SessionId session) { records_.erase(session); }
 
 void AttentionStore::PublishMetrics(MetricsRegistry* registry) const {
   MetricsRegistry& reg = registry != nullptr ? *registry : MetricsRegistry::Global();

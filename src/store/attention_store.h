@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
@@ -58,7 +59,8 @@ struct StoreConfig {
   std::string eviction_policy = "scheduler-aware";
 
   // When true, tiers get real payload storage (DRAM/HBM in memory, disk in
-  // a backing file under disk_path) and Put/ReadPayload move actual bytes.
+  // a backing file under disk_path) and the payload Put/ReadPayload move
+  // actual bytes; otherwise only the capacity-only Put is available.
   // An empty disk_path expands to a process-unique temp path
   // (/tmp/ca_attention_store.<pid>.<seq>.blocks) so concurrent processes —
   // e.g. parallel ctest shards — never collide on one backing file; the
@@ -132,10 +134,10 @@ struct StoreConfig {
 
   // --- cross-session prefix sharing (DESIGN.md §17) --------------------
 
-  // When true, PutShared is available: payloads are split at token-chunk
-  // boundaries, deduplicated across sessions through a prefix index of
-  // refcounted shared chunk records, and sessions keep only a block table
-  // plus their private tail. Requires real_payloads.
+  // When true, a payload Put that carries its token history is split at
+  // token-chunk boundaries and deduplicated across sessions through a
+  // prefix index of refcounted shared chunk records; the session's record
+  // keeps a block table plus its own tail. Requires real_payloads.
   bool share_prefixes = false;
 
   // Tokens per shared chunk. Smaller chunks dedup finer but cost more
@@ -155,20 +157,18 @@ struct KvRecordInfo {
   std::uint64_t bytes = 0;        // bytes stored in the session's own record
   std::uint64_t token_count = 0;  // full logical token count
   SimTime last_access = 0;
-  // Prefix sharing (DESIGN.md §17): true when the record was stored via
-  // PutShared (token-major payload, possibly split across shared chunks).
-  bool shared = false;
   // Full logical payload size: shared-chunk bytes + the record's own bytes.
-  // Equals `bytes` for private records.
+  // Equals `bytes` for a private record (an empty block table).
   std::uint64_t payload_bytes = 0;
 };
 
-// Random-access payload source for PutShared (DESIGN.md §17): the store
-// pulls byte ranges aligned to token boundaries, and — crucially — skips
-// ranges entirely when the prefix index already holds their chunk, so a
-// dedup hit costs an index probe instead of serialization + I/O. Range()
-// returns a cursor valid until the next Range() call; the store may Reset
-// and replay it (write-retry loop).
+// Random-access payload source of the store's Put (DESIGN.md §17): a
+// payload is total_tokens() tokens of bytes_per_token() bytes each, and the
+// store pulls byte ranges aligned to token boundaries — skipping ranges
+// entirely when the prefix index already holds their chunk, so a dedup hit
+// costs an index probe instead of serialization + I/O. Range() returns a
+// cursor valid until the next Range() call; the store may Reset and replay
+// it (write-retry loop).
 class ChunkedPayloadSource {
  public:
   virtual ~ChunkedPayloadSource() = default;
@@ -177,12 +177,16 @@ class ChunkedPayloadSource {
   virtual PayloadSource& Range(std::uint64_t token_begin, std::uint64_t token_end) = 0;
 };
 
-// ChunkedPayloadSource over a contiguous token-major buffer (async saves,
-// tests, benches).
+// ChunkedPayloadSource over a contiguous buffer (async saves, migration
+// imports, tests, benches). Opaque bytes of any size are one token of
+// bytes.size() bytes.
 class SpanChunkSource final : public ChunkedPayloadSource {
  public:
   SpanChunkSource(std::span<const std::uint8_t> bytes, std::uint64_t bytes_per_token)
-      : bytes_(bytes), bytes_per_token_(bytes_per_token), range_(bytes) {}
+      : bytes_(bytes), bytes_per_token_(bytes_per_token), range_(bytes) {
+    CA_CHECK(bytes_per_token > 0 && bytes.size() % bytes_per_token == 0)
+        << bytes.size() << " bytes do not split into tokens of " << bytes_per_token;
+  }
 
   std::uint64_t total_tokens() const override { return bytes_.size() / bytes_per_token_; }
   std::uint64_t bytes_per_token() const override { return bytes_per_token_; }
@@ -210,14 +214,11 @@ struct ExportedRecord {
   std::uint64_t token_count = 0;
   std::uint64_t checksum = 0;     // Checksum64 of payload; 0 when checksums are off
   SimTime last_access = 0;
-  std::vector<std::uint8_t> payload;    // empty on capacity-only stores
+  // Empty on capacity-only stores. A session with shared chunks exports its
+  // materialized full payload (chunks + own bytes); the importer stores it
+  // as a private record.
+  std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> user_meta;  // opaque caller blob (serialized token history)
-  // Prefix sharing (DESIGN.md §17): true when the payload is token-major
-  // (stored via PutShared). Export materializes shared records into this
-  // self-contained form (chunks + tail concatenated); import re-creates a
-  // private record but preserves the format flag so the engine's load path
-  // still parses the bytes correctly.
-  bool shared_format = false;
 };
 
 class AttentionStore {
@@ -255,60 +256,61 @@ class AttentionStore {
 
   // --- Write path -----------------------------------------------------------
 
-  // Saves (or updates) a session's KV cache of `bytes` bytes covering
-  // `token_count` tokens. Placement prefers the fastest enabled tier; makes
-  // room via policy-driven demotion/eviction. If the record fits nowhere it
-  // is dropped and kResourceExhausted is returned.
+  // Saves (or updates) a session's KV payload (real_payloads only). The
+  // record covers payload.total_tokens() tokens. Placement prefers the
+  // fastest enabled tier and makes room via policy-driven demotion/eviction;
+  // if the session's own bytes fit nowhere the record is dropped and
+  // kResourceExhausted is returned. The bytes stream from `payload` straight
+  // into tier block memory with the checksum folded in per block (DESIGN.md
+  // §14); the retry loop may Reset and replay a range.
   //
-  // `payload` must be non-empty iff real_payloads is configured.
-  // `user_meta` is an opaque caller blob journaled with the record in
-  // durable mode (the engine stores the serialized token history so
-  // recovered sessions replay bitwise-identically); ignored otherwise.
-  Status Put(SessionId session, std::uint64_t bytes, std::uint64_t token_count,
-             std::span<const std::uint8_t> payload, SimTime now, const SchedulerHints& hints,
-             std::span<const std::uint8_t> user_meta = {});
-
-  // Zero-copy variant (real_payloads only): pulls the record's bytes from
-  // `payload` straight into tier block memory; the checksum is folded in
-  // per block while the bytes stream through (DESIGN.md §14). The source
-  // may be consumed multiple times (Reset + replay) by the retry loop.
-  Status Put(SessionId session, std::uint64_t token_count, PayloadSource& payload, SimTime now,
-             const SchedulerHints& hints, std::span<const std::uint8_t> user_meta = {});
-
-  // Prefix-sharing write path (DESIGN.md §17; requires config.share_prefixes
-  // and real_payloads). `tokens` is the session's full token history (one
-  // entry per payload token, bit-pattern of the engine's TokenId) and
-  // `payload` its token-major KV bytes. The store walks the history in
-  // share_chunk_tokens-sized chunks, matching each against the prefix index
-  // (chain-keyed: a candidate matches only with identical parent chunk and
-  // identical token contents, so a hit proves exact prefix equality):
+  // `dedup_tokens` is the session's full token history (one entry per
+  // payload token, bit pattern of the engine's TokenId), given when the
+  // payload is a pure function of it. With config.share_prefixes set, the
+  // store then walks the history in share_chunk_tokens-sized chunks and
+  // matches each against the prefix index (DESIGN.md §17; chain-keyed: a
+  // candidate matches only with identical parent chunk and identical token
+  // contents, so a hit proves exact prefix equality):
   //  * hit  — the session references the existing chunk (refcount++), no
   //           bytes move;
   //  * miss — a new shared chunk record is written and indexed. A session
   //           that diverges mid-chunk simply stops matching there: only its
   //           divergent chunks are physically written (copy-on-write at
   //           save granularity).
-  // The remainder past the last full chunk (always ≥ 1 token) is the
-  // session's private tail, stored in its own record together with the
-  // ordered chunk-reference table. Placement/eviction semantics per chunk
-  // match Put; if the tail fits nowhere the session record is dropped
-  // (kResourceExhausted) and freshly created chunks are released.
-  Status PutShared(SessionId session, std::span<const std::uint32_t> tokens,
-                   ChunkedPayloadSource& payload, SimTime now, const SchedulerHints& hints,
-                   std::span<const std::uint8_t> user_meta = {});
+  // The remainder past the last full chunk (always >= 1 token) is the
+  // session's own piece, stored in its record with the ordered block table
+  // of chunk references. Without dedup tokens (or without share_prefixes)
+  // the block table is empty and the whole payload is the own piece.
+  //
+  // `user_meta` is an opaque caller blob retained with the record and
+  // journaled in durable mode (the engine stores the serialized token
+  // history so recovered sessions replay bitwise-identically).
+  Status Put(SessionId session, ChunkedPayloadSource& payload,
+             std::span<const std::uint32_t> dedup_tokens, SimTime now,
+             const SchedulerHints& hints, std::span<const std::uint8_t> user_meta = {});
 
-  // Reads a record's payload (real-payload mode only), verifying its
-  // checksum. Any failure is miss-equivalent for the caller: transient
-  // exhaustion (kUnavailable) keeps the record for a later retry, while a
-  // permanent error or checksum mismatch drops it so the miss is consistent
+  // Capacity-only form (stores without real_payloads; the simulator):
+  // accounts `bytes` bytes covering `token_count` tokens with the same
+  // placement and eviction as the payload Put, moving no bytes.
+  Status Put(SessionId session, std::uint64_t bytes, std::uint64_t token_count, SimTime now,
+             const SchedulerHints& hints, std::span<const std::uint8_t> user_meta = {});
+
+  // Streams a record's payload into `sink` (real-payload mode only): the
+  // shared chunks in block-table order, then the session's own piece, each
+  // verified against its own checksum as it passes — memory tiers hand over
+  // arena spans directly, nothing is staged. A transient fault restarts the
+  // whole pass (sink.Reset(), then from the first piece) up to
+  // config.io_retries times. The sink observes bytes BEFORE each piece's
+  // checksum verdict; on any non-OK return the caller must discard whatever
+  // the sink built. Any failure is miss-equivalent for the caller:
+  // transient exhaustion (kUnavailable) keeps the record for a later retry,
+  // while a permanent error or checksum mismatch drops it — for a bad
+  // shared chunk, every session referencing it — so the miss is consistent
   // on every subsequent lookup.
-  Result<std::vector<std::uint8_t>> ReadPayload(SessionId session);
-
-  // Zero-copy variant: streams the payload into `sink` (memory tiers hand
-  // over arena spans directly). The sink observes bytes BEFORE the checksum
-  // verdict; on any non-OK return the caller must discard whatever the sink
-  // built (the bytes may be torn). Failure semantics match ReadPayload.
   Status ReadPayloadInto(SessionId session, PayloadSink& sink);
+
+  // ReadPayloadInto collected into a vector.
+  Result<std::vector<std::uint8_t>> ReadPayload(SessionId session);
 
   // --- Migration (DESIGN.md §16) ----------------------------------------
 
@@ -322,12 +324,13 @@ class AttentionStore {
   Result<ExportedRecord> ExportRecord(SessionId session);
 
   // Installs an exported record into this store as if Put had been called
-  // with its payload and user_meta. Never overwrites: a resident record for
-  // the same session returns kAlreadyExists (the router's re-pin protocol
-  // guarantees a session lives in exactly one shard store at a time). In
-  // real-payload mode the payload checksum is re-verified before any byte
-  // is written — corruption in transit surfaces as kDataLoss, not as a
-  // poisoned cache entry.
+  // with its payload (no dedup tokens) and user_meta. Never overwrites: a
+  // resident record for the same session returns kAlreadyExists (the
+  // router's re-pin protocol guarantees a session lives in exactly one shard
+  // store at a time). In real-payload mode the payload must split into
+  // token_count whole tokens (kInvalidArgument otherwise) and its checksum
+  // is re-verified before any byte is written — corruption in transit
+  // surfaces as kDataLoss, not as a poisoned cache entry.
   Status ImportRecord(const ExportedRecord& record, SimTime now, const SchedulerHints& hints);
 
   // --- Placement management ---------------------------------------------
@@ -366,8 +369,8 @@ class AttentionStore {
   // stores). Also published as "store_recovery.*" gauges.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
-  // The opaque blob retained with the session's record via Put(...,
-  // user_meta) — null for unknown sessions. Retained in-record for every
+  // The opaque blob retained with the session's record via Put's user_meta
+  // — null for unknown sessions. Retained in-record for every
   // store (durable stores additionally journal it so recovery can rebuild
   // it). The pointer is invalidated by any store mutation.
   const std::vector<std::uint8_t>* UserMeta(SessionId session) const;
@@ -424,11 +427,10 @@ class AttentionStore {
     // journal. For shared chunk records the store itself is the caller: it
     // holds the encoded chunk descriptor (chain key, parent, tokens).
     std::vector<std::uint8_t> user_meta;
-    // Prefix sharing (DESIGN.md §17): true when stored via PutShared
-    // (token-major payload). The block table: ordered shared-chunk record
-    // ids whose payloads precede this record's own bytes. Journaled with
-    // the record so recovery can rebuild tables and re-derive refcounts.
-    bool shared_format = false;
+    // Prefix sharing (DESIGN.md §17): the block table — ordered
+    // shared-chunk record ids whose payloads precede this record's own
+    // bytes; empty for a private record. Journaled with the record so
+    // recovery can rebuild tables and re-derive refcounts.
     std::vector<SessionId> chunk_refs;
     // Access-journaling checkpoint counter (durable mode; not persisted).
     std::uint32_t accesses_since_journal = 0;
@@ -506,22 +508,16 @@ class AttentionStore {
                      bool keep_existing_user_meta);
   void JournalErase(SessionId session);
 
-  // Shared body of both Put overloads. `payload` is null without real
-  // payloads attached and points at the caller's source otherwise.
-  Status PutImpl(SessionId session, std::uint64_t bytes, std::uint64_t token_count,
-                 PayloadSource* payload, SimTime now, const SchedulerHints& hints,
-                 std::span<const std::uint8_t> user_meta);
-
-  // Reads `record`'s payload from `storage` into `out` (exactly record.bytes
-  // long) with bounded transient-retry and checksum verification; updates
-  // tier health, fault stats and per-tier I/O throughput.
-  Status ReadVerifiedInto(BlockStorage& storage, const KvRecord& record, Tier tier,
-                          std::span<std::uint8_t> out);
-
-  // Streaming flavour: the sink sees the bytes before the checksum verdict
-  // (zero-copy single pass); a mismatch surfaces as kDataLoss afterwards.
-  Status ReadVerifiedStream(BlockStorage& storage, const KvRecord& record, Tier tier,
-                            PayloadSink& sink);
+  // The one verified read: streams `pieces` (records' own extents) in
+  // order into `sink`, each verified against its own checksum as it
+  // passes. A transient fault restarts the whole pass — sink.Reset(), then
+  // from the first piece — up to config.io_retries times. On failure
+  // `*failed` names the piece that failed. Updates tier health, fault stats
+  // and per-tier I/O throughput.
+  Status ReadVerifiedStream(std::span<const KvRecord* const> pieces, PayloadSink& sink,
+                            SessionId* failed);
+  // One attempt at one piece (no retry: the sink has seen its bytes).
+  Status ReadPiece(const KvRecord& piece, PayloadSink& sink);
 
   // Writes the payload to `storage` with bounded transient-retry, folding
   // the checksum in as the bytes stream through; updates tier health, fault
@@ -549,12 +545,10 @@ class AttentionStore {
   BlockStorage* Storage(Tier tier);
   const BlockStorage* Storage(Tier tier) const;
 
-  void EraseRecord(SessionId session);
-
   // --- prefix sharing internals (DESIGN.md §17) ------------------------
 
   // Synthetic SessionId namespace for shared chunk records. Real sessions
-  // never carry this bit (PutShared rejects them), so chunk records hide in
+  // never carry this bit (Put rejects them), so chunk records hide in
   // records_ without colliding and reuse placement/moves/journaling/
   // recovery unchanged.
   static constexpr SessionId kChunkSessionBit = SessionId{1} << 63;
@@ -579,20 +573,25 @@ class AttentionStore {
   // referrer against `reason` (evictions_out or fault_evictions).
   void DropChunkReferrers(SessionId chunk_id, std::uint64_t StoreStats::* reason);
 
-  // Places `bytes` of `source` into the fastest enabled tier that can make
-  // room (the shared placement loop of PutImpl/PutShared). On success the
-  // receipt's extent/checksum and the chosen tier are returned.
+  // The one placement loop (both Puts, every shared chunk): places `bytes`
+  // into the fastest enabled tier that can make room, writing `source`
+  // there when real payloads are attached (null for capacity-only stores).
+  // On success the chosen tier and the write's extent/checksum are
+  // returned; tier-write failures count in stats_.failed_puts.
   struct Placement {
     Tier tier = Tier::kNone;
     BlockExtent extent;
     std::uint64_t checksum = 0;
   };
-  Result<Placement> PlacePayload(std::uint64_t bytes, PayloadSource& source, SessionId exclude,
+  Result<Placement> PlacePayload(std::uint64_t bytes, PayloadSource* source, SessionId exclude,
                                  SimTime now, const SchedulerHints& hints);
 
-  // Reads one piece (a chunk record or the session's own tail) into `out`.
-  // Wrapper over ReadVerifiedInto that resolves the record's storage.
-  Status ReadPieceInto(const KvRecord& record, std::span<std::uint8_t> out);
+  // Inserts a placed record (session or chunk): charges its tier and
+  // journals it with the user_meta blob it carries.
+  void InsertRecord(KvRecord record);
+
+  // Logical payload size of a record: its own bytes plus its chunks'.
+  std::uint64_t PayloadBytes(const KvRecord& record) const;
 
   // Durable mode: journal a coarse last_access checkpoint every
   // config.access_journal_every_n accesses of a record (S1 bugfix — LRU
@@ -621,7 +620,7 @@ class AttentionStore {
   std::unordered_map<SessionId, SharedChunk> chunks_;
   std::unordered_map<std::uint64_t, std::vector<SessionId>> prefix_index_;
   std::uint64_t next_chunk_id_ = 0;
-  // Chunks referenced by an in-flight PutShared before the session's own
+  // Chunks referenced by an in-flight Put before the session's own
   // record exists; PickVictim must not offer them (their refcount can not
   // reach zero through referrer drops, so evicting one would stall
   // EnsureRoom).

@@ -25,9 +25,10 @@ namespace {
 constexpr std::uint64_t kSuperblockBytes = 64;
 constexpr std::uint64_t kSuperblockPayloadBytes = 24;
 constexpr std::uint32_t kJournalMagic = 0x4A4D4143;  // "CAMJ"
-// v2: upsert bodies carry shared_format + the block table (chunk_refs), and
-// the access-checkpoint entry kind exists (S1/DESIGN.md §17).
-constexpr std::uint32_t kJournalVersion = 2;
+// v3: upsert bodies end with the block table (chunk_refs) and every payload
+// is the one token-major KV wire form; the access-checkpoint entry kind
+// exists (DESIGN.md §17). Earlier journals fail Open (DESIGN.md §15).
+constexpr std::uint32_t kJournalVersion = 3;
 
 // Entry frame: [u32 body_len][u64 Fnv1a64(body)][body].
 constexpr std::uint64_t kFrameHeaderBytes = 12;
@@ -116,7 +117,6 @@ void EncodeUpsert(const MetaRecord& rec, ByteWriter& w) {
   }
   w.U32(static_cast<std::uint32_t>(rec.user_meta.size()));
   w.Bytes(rec.user_meta);
-  w.U8(rec.shared_format ? 1 : 0);
   w.U32(static_cast<std::uint32_t>(rec.chunk_refs.size()));
   for (const SessionId ref : rec.chunk_refs) {
     w.U64(ref);
@@ -146,12 +146,10 @@ bool DecodeUpsert(ByteReader& r, MetaRecord& rec) {
   if (!r.ok() || !r.Bytes(meta_len, rec.user_meta)) {
     return false;
   }
-  const std::uint8_t shared = r.U8();
   const std::uint32_t n_refs = r.U32();
-  if (!r.ok() || shared > 1) {
+  if (!r.ok()) {
     return false;
   }
-  rec.shared_format = shared != 0;
   rec.chunk_refs.clear();
   rec.chunk_refs.reserve(n_refs);
   for (std::uint32_t i = 0; i < n_refs; ++i) {

@@ -84,11 +84,11 @@ struct MetaRecord {
   std::uint64_t checksum = 0;
   std::vector<BlockId> blocks;  // disk-tier extent; empty for memory tiers
   std::vector<std::uint8_t> user_meta;
-  // Prefix sharing (DESIGN.md §17): PutShared records carry their ordered
-  // block table (shared-chunk record ids). Refcounts are deliberately NOT
-  // journaled — recovery re-derives them from the surviving tables, so a
-  // replayed journal can neither double-free nor leak a shared chunk.
-  bool shared_format = false;
+  // Prefix sharing (DESIGN.md §17): the record's ordered block table
+  // (shared-chunk record ids; empty for a private record). Refcounts are
+  // deliberately NOT journaled — recovery re-derives them from the
+  // surviving tables, so a replayed journal can neither double-free nor
+  // leak a shared chunk.
   std::vector<SessionId> chunk_refs;
 };
 

@@ -94,7 +94,7 @@ struct StoreStats {
   std::uint64_t permanent_io_faults = 0; // non-retryable I/O failures (incl. checksum)
   std::uint64_t corrupt_payloads = 0;    // checksum mismatches detected on read
   std::uint64_t failed_puts = 0;         // Put tier-writes that failed (per tier tried)
-  std::uint64_t failed_reads = 0;        // ReadPayload calls degraded to a miss
+  std::uint64_t failed_reads = 0;        // payload reads degraded to a miss
   std::uint64_t failed_moves = 0;        // promotions/demotions that failed & rolled back
   std::uint64_t fault_evictions = 0;     // records dropped because of faults
   std::uint64_t tiers_quarantined = 0;   // health transitions into kQuarantined
@@ -103,7 +103,7 @@ struct StoreStats {
   std::uint64_t io_faults() const { return transient_io_faults + permanent_io_faults; }
 
   // --- cross-session prefix sharing (DESIGN.md §17) --------------------
-  std::uint64_t shared_puts = 0;        // PutShared calls that placed a record
+  std::uint64_t shared_puts = 0;        // Puts placed through the prefix index
   std::uint64_t prefix_lookups = 0;     // chunk-boundary prefix-index probes
   std::uint64_t prefix_hits = 0;        // probes that matched an existing chunk
   std::uint64_t chunks_created = 0;     // new shared chunk records written

@@ -194,8 +194,9 @@ TEST(DecoupledPeTest, NoTruncationReuseIsExact) {
 
   KvCache reuse_cache = model.MakeCache(PeMode::kDecoupled);
   (void)model.Forward(history, reuse_cache);
-  const auto saved = reuse_cache.Serialize();
-  auto reloaded = KvCache::Deserialize(config, saved);
+  KvCache::TokenMajorDeserializer deserializer(config, PeMode::kDecoupled, reuse_cache.seq_len());
+  deserializer.Consume(reuse_cache.SerializeTokenMajor());
+  auto reloaded = deserializer.Finish();
   ASSERT_TRUE(reloaded.ok());
   const Tensor ca = model.Forward(probe, *reloaded);
 

@@ -1,4 +1,4 @@
-// KvCache layout, truncation and serialization tests.
+// KvCache layout, truncation and wire-form tests.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -154,12 +154,35 @@ TEST(KvCacheTest, MutableKWritesThrough) {
   EXPECT_EQ(cache.K(0, 0)[0], -5.0f);
 }
 
+// --- wire form (DESIGN.md §14, §17) ---------------------------------------
+
+// Round trip through the wire form in one pass: `seq_len` and the PE mode
+// travel out of band, exactly as the engine's load path supplies them.
+Result<KvCache> RoundTrip(const KvCache& cache, const ModelConfig& config) {
+  KvCache::TokenMajorDeserializer deserializer(config, cache.pe_mode(), cache.seq_len());
+  deserializer.Consume(cache.SerializeTokenMajor());
+  return deserializer.Finish();
+}
+
+// Row-by-row equality of two caches' tensors.
+void ExpectSameRows(const KvCache& a, const KvCache& b) {
+  ASSERT_EQ(a.seq_len(), b.seq_len());
+  ASSERT_EQ(a.n_layers(), b.n_layers());
+  for (std::size_t layer = 0; layer < a.n_layers(); ++layer) {
+    ASSERT_TRUE(std::equal(a.LayerK(layer).begin(), a.LayerK(layer).end(),
+                           b.LayerK(layer).begin()))
+        << "K of layer " << layer;
+    ASSERT_TRUE(std::equal(a.LayerV(layer).begin(), a.LayerV(layer).end(),
+                           b.LayerV(layer).begin()))
+        << "V of layer " << layer;
+  }
+}
+
 TEST(KvCacheTest, SerializeRoundTrip) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 6);
-  const auto bytes = cache.Serialize();
-  auto restored = KvCache::Deserialize(config, bytes);
+  auto restored = RoundTrip(cache, config);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->seq_len(), 6U);
   EXPECT_EQ(restored->pe_mode(), PeMode::kDecoupled);
@@ -173,51 +196,67 @@ TEST(KvCacheTest, SerializeRoundTrip) {
   }
 }
 
+// Coupled-PE caches hold post-RoPE K rows; the wire form carries them
+// unchanged and the deserializer stamps the mode it is given.
 TEST(KvCacheTest, SerializePreservesPeMode) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kCoupled);
-  FillCache(cache, 1);
-  auto restored = KvCache::Deserialize(config, cache.Serialize());
-  ASSERT_TRUE(restored.ok());
+  FillCache(cache, 3);
+  auto restored = RoundTrip(cache, config);
+  ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->pe_mode(), PeMode::kCoupled);
+  ExpectSameRows(*restored, cache);
 }
 
+// Without a header there is no magic to check: garbage is caught by its
+// byte count, which must be exactly seq_len tokens.
 TEST(KvCacheTest, DeserializeRejectsGarbage) {
   const ModelConfig config = ModelConfig::Mini();
-  const std::vector<std::uint8_t> junk(16, 0xAB);
-  EXPECT_FALSE(KvCache::Deserialize(config, junk).ok());
-  const std::vector<std::uint8_t> tiny(3, 0);
-  EXPECT_FALSE(KvCache::Deserialize(config, tiny).ok());
+  for (const std::size_t size : {std::size_t{16}, std::size_t{3}}) {
+    const std::vector<std::uint8_t> junk(size, 0xAB);
+    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 1);
+    d.Consume(junk);
+    EXPECT_FALSE(d.Finish().ok()) << size << " bytes";
+  }
 }
 
+// Mini bytes fed to a Tiny deserializer: the shapes differ, so the byte
+// count does not match the Tiny token size.
 TEST(KvCacheTest, DeserializeRejectsWrongConfig) {
+  ASSERT_NE(KvCache::TokenMajorBytesPerToken(ModelConfig::Mini()),
+            KvCache::TokenMajorBytesPerToken(ModelConfig::Tiny()));
   KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
   FillCache(cache, 2);
-  const auto bytes = cache.Serialize();
-  EXPECT_FALSE(KvCache::Deserialize(ModelConfig::Tiny(), bytes).ok());
+  const ModelConfig tiny = ModelConfig::Tiny();
+  KvCache::TokenMajorDeserializer d(tiny, PeMode::kDecoupled, 2);
+  d.Consume(cache.SerializeTokenMajor());
+  EXPECT_FALSE(d.Finish().ok());
 }
 
 TEST(KvCacheTest, DeserializeRejectsTruncatedBuffer) {
-  KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
+  const ModelConfig config = ModelConfig::Mini();
+  KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 2);
-  auto bytes = cache.Serialize();
+  auto bytes = cache.SerializeTokenMajor();
   bytes.pop_back();
-  EXPECT_FALSE(KvCache::Deserialize(ModelConfig::Mini(), bytes).ok());
+  KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 2);
+  d.Consume(bytes);
+  EXPECT_FALSE(d.Finish().ok());
 }
 
-// --- zero-copy serialization (DESIGN.md §14) -----------------------------
+// --- streaming cursors (DESIGN.md §14) ------------------------------------
 
 TEST(KvCacheZeroCopy, SerializerMatchesSerializeByteForByte) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 9);
-  const auto expected = cache.Serialize();
-  ASSERT_EQ(cache.SerializedSize(), expected.size());
+  const auto expected = cache.SerializeTokenMajor();
+  ASSERT_EQ(expected.size(), cache.byte_size());
 
   // Pull through the cursor in awkward window sizes; the concatenation must
-  // be exactly the legacy buffer.
+  // be exactly the materialised buffer.
   for (const std::size_t window : {std::size_t{1}, std::size_t{13}, std::size_t{4096}}) {
-    KvCache::Serializer serializer(cache);
+    KvCache::TokenMajorSerializer serializer(cache, 0, cache.seq_len());
     ASSERT_EQ(serializer.size(), expected.size());
     std::vector<std::uint8_t> got(expected.size());
     for (std::size_t off = 0; off < got.size(); off += window) {
@@ -233,39 +272,12 @@ TEST(KvCacheZeroCopy, SerializerMatchesSerializeByteForByte) {
   }
 }
 
-TEST(KvCacheZeroCopy, SerializeIntoMatchesSerialize) {
-  KvCache cache(ModelConfig::Mini(), PeMode::kCoupled);
-  FillCache(cache, 5);
-  const auto expected = cache.Serialize();
-  std::vector<std::uint8_t> got(cache.SerializedSize());
-  cache.SerializeInto(got);
-  EXPECT_EQ(got, expected);
-}
-
-TEST(KvCacheZeroCopy, StreamingDeserializerAnyChunking) {
-  const ModelConfig config = ModelConfig::Mini();
-  KvCache cache(config, PeMode::kDecoupled);
-  FillCache(cache, 11);
-  const auto bytes = cache.Serialize();
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{24},
-                                  std::size_t{1000}, bytes.size()}) {
-    KvCache::StreamingDeserializer deserializer(config);
-    for (std::size_t off = 0; off < bytes.size(); off += chunk) {
-      const std::size_t len = std::min(chunk, bytes.size() - off);
-      deserializer.Consume(std::span<const std::uint8_t>(bytes.data() + off, len));
-    }
-    auto restored = deserializer.Finish();
-    ASSERT_TRUE(restored.ok()) << "chunk " << chunk << ": " << restored.status();
-    EXPECT_EQ(restored->Serialize(), bytes) << "chunk " << chunk;
-  }
-}
-
 TEST(KvCacheZeroCopy, StreamingDeserializerResetReplays) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 4);
-  const auto bytes = cache.Serialize();
-  KvCache::StreamingDeserializer deserializer(config);
+  const auto bytes = cache.SerializeTokenMajor();
+  KvCache::TokenMajorDeserializer deserializer(config, PeMode::kDecoupled, 4);
   // A torn first pass (half the payload) followed by Reset and a clean
   // replay — the store's read-retry pattern.
   deserializer.Consume(std::span<const std::uint8_t>(bytes.data(), bytes.size() / 2));
@@ -273,41 +285,30 @@ TEST(KvCacheZeroCopy, StreamingDeserializerResetReplays) {
   deserializer.Consume(bytes);
   auto restored = deserializer.Finish();
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->Serialize(), bytes);
+  EXPECT_EQ(restored->SerializeTokenMajor(), bytes);
 }
 
 TEST(KvCacheZeroCopy, StreamingDeserializerRejectsBadInput) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
   FillCache(cache, 3);
-  const auto bytes = cache.Serialize();
-
+  const auto bytes = cache.SerializeTokenMajor();
+  const auto feed = [&](KvCache::TokenMajorDeserializer& d, std::size_t len) {
+    for (std::size_t off = 0; off < len; off += 7) {
+      d.Consume(std::span<const std::uint8_t>(bytes.data() + off, std::min<std::size_t>(7, len - off)));
+    }
+  };
   {
-    // Garbage magic.
-    auto junk = bytes;
-    junk[0] ^= 0xFF;
-    KvCache::StreamingDeserializer d(config);
-    d.Consume(junk);
+    // Stream cut short mid-row.
+    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 3);
+    feed(d, bytes.size() - 4);
     EXPECT_FALSE(d.Finish().ok());
   }
   {
-    // Truncated payload.
-    KvCache::StreamingDeserializer d(config);
-    d.Consume(std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
-    EXPECT_FALSE(d.Finish().ok());
-  }
-  {
-    // Overlong payload: the overshooting chunk must be swallowed, not
-    // written past the tensors.
-    KvCache::StreamingDeserializer d(config);
-    d.Consume(bytes);
-    d.Consume(std::span<const std::uint8_t>(bytes.data(), 8));
-    EXPECT_FALSE(d.Finish().ok());
-  }
-  {
-    // Wrong model config.
-    KvCache::StreamingDeserializer d(ModelConfig::Tiny());
-    d.Consume(bytes);
+    // Stream that overruns its token count: the overshooting chunks must be
+    // swallowed, not written past the tensors.
+    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 2);
+    feed(d, bytes.size());
     EXPECT_FALSE(d.Finish().ok());
   }
 }
@@ -315,16 +316,13 @@ TEST(KvCacheZeroCopy, StreamingDeserializerRejectsBadInput) {
 TEST(KvCacheZeroCopy, EmptyCacheRoundTripsThroughStreaming) {
   const ModelConfig config = ModelConfig::Mini();
   KvCache cache(config, PeMode::kDecoupled);
-  const auto bytes = cache.Serialize();
-  EXPECT_EQ(bytes.size(), KvCache::kSerializedHeaderBytes);
-  KvCache::StreamingDeserializer deserializer(config);
-  deserializer.Consume(bytes);
-  auto restored = deserializer.Finish();
+  EXPECT_TRUE(cache.SerializeTokenMajor().empty());
+  auto restored = RoundTrip(cache, config);
   ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_TRUE(restored->empty());
 }
 
-// --- token-major wire form (prefix sharing, DESIGN.md §17) ---------------
+// --- token-major chunking (prefix sharing, DESIGN.md §17) -------------------
 
 TEST(KvCacheTokenMajor, BytesPerTokenMatchesConfig) {
   const ModelConfig config = ModelConfig::Mini();
@@ -351,8 +349,7 @@ TEST(KvCacheTokenMajor, RoundTripAnyChunking) {
     ASSERT_TRUE(restored.ok()) << "chunk " << chunk << ": " << restored.status();
     EXPECT_EQ(restored->seq_len(), 11U);
     EXPECT_EQ(restored->pe_mode(), PeMode::kDecoupled);
-    // Same tensors as the source, independent of wire layout.
-    EXPECT_EQ(restored->Serialize(), cache.Serialize()) << "chunk " << chunk;
+    ExpectSameRows(*restored, cache);
   }
 }
 
@@ -365,7 +362,7 @@ TEST(KvCacheTokenMajor, RangeSerializersConcatenateToWholePayload) {
   // Split [0,10) into ranges of 3/3/3/1 tokens, pull each through its own
   // cursor in awkward windows — exactly the store's chunked write pattern.
   std::vector<std::uint8_t> got;
-  for (const auto [b, e] : {std::pair<std::size_t, std::size_t>{0, 3}, {3, 6}, {6, 9}, {9, 10}}) {
+  for (const auto& [b, e] : {std::pair<std::size_t, std::size_t>{0, 3}, {3, 6}, {6, 9}, {9, 10}}) {
     KvCache::TokenMajorSerializer serializer(cache, b, e);
     ASSERT_EQ(serializer.size(), (e - b) * bpt);
     std::vector<std::uint8_t> piece(serializer.size());
@@ -402,16 +399,19 @@ TEST(KvCacheTokenMajor, DeserializerRejectsByteCountMismatch) {
     d.Consume(std::span<const std::uint8_t>(bytes.data(), 8));
     EXPECT_FALSE(d.Finish().ok());
   }
-  {
-    // Reset replays a torn pass cleanly.
-    KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, 4);
-    d.Consume(std::span<const std::uint8_t>(bytes.data(), bytes.size() / 2));
-    d.Reset();
-    d.Consume(bytes);
-    auto restored = d.Finish();
-    ASSERT_TRUE(restored.ok()) << restored.status();
-    EXPECT_EQ(restored->Serialize(), cache.Serialize());
-  }
+}
+
+// A token count beyond the context window is garbage (a cache never grows
+// past it); it must fail in Finish() without driving a tensor allocation.
+TEST(KvCacheTokenMajor, DeserializerRejectsSeqLenBeyondContextWindow) {
+  const ModelConfig config = ModelConfig::Mini();
+  KvCache::TokenMajorDeserializer d(config, PeMode::kDecoupled, config.context_window + 1);
+  d.Consume(std::vector<std::uint8_t>(64, 0));
+  const auto restored = d.Finish();
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  d.Reset();  // still rejected after a replay
+  EXPECT_FALSE(d.Finish().ok());
 }
 
 TEST(KvCacheTokenMajor, PreservesPeMode) {
@@ -466,10 +466,11 @@ TEST_P(KvCacheRoundTrip, SurvivesSerializeDeserialize) {
       cache.Append(layer, row, row);
     }
   }
-  auto restored = KvCache::Deserialize(config, cache.Serialize());
-  ASSERT_TRUE(restored.ok());
+  auto restored = RoundTrip(cache, config);
+  ASSERT_TRUE(restored.ok()) << restored.status();
   EXPECT_EQ(restored->seq_len(), tokens);
   EXPECT_EQ(restored->byte_size(), cache.byte_size());
+  ExpectSameRows(*restored, cache);
 }
 
 INSTANTIATE_TEST_SUITE_P(

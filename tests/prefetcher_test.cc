@@ -22,7 +22,7 @@ StoreConfig Config() {
 AttentionStore MakeStoreWithDiskSessions(std::size_t n) {
   AttentionStore store(Config());
   for (SessionId s = 0; s < n; ++s) {
-    EXPECT_TRUE(store.Put(s, MiB(4), 100, {}, static_cast<SimTime>(s), kNoHints).ok());
+    EXPECT_TRUE(store.Put(s, MiB(4), 100, static_cast<SimTime>(s), kNoHints).ok());
     EXPECT_TRUE(store.Demote(s, static_cast<SimTime>(s), kNoHints).ok());
   }
   return store;
@@ -62,7 +62,7 @@ TEST(PrefetcherTest, PlannedBytesRespectFreeDram) {
   // though the window admits more by count.
   AttentionStore store(Config());
   for (SessionId s = 0; s < 3; ++s) {
-    ASSERT_TRUE(store.Put(s, MiB(8), 100, {}, static_cast<SimTime>(s), kNoHints).ok());
+    ASSERT_TRUE(store.Put(s, MiB(8), 100, static_cast<SimTime>(s), kNoHints).ok());
     ASSERT_TRUE(store.Demote(s, static_cast<SimTime>(s), kNoHints).ok());
   }
   Prefetcher prefetcher(&store);

@@ -1,10 +1,10 @@
 // Cross-session KV prefix sharing tests (DESIGN.md §17).
 //
-//  * PutShared deduplicates identical token prefixes across sessions into
-//    refcounted shared chunk records (the ISSUE acceptance bar: ≥ 64
-//    sessions over a ≥ 512-token common prefix must shrink stored payload
-//    bytes ≥ 4x vs sharing-off) while every session reads back its exact
-//    payload bytes;
+//  * Put with dedup tokens deduplicates identical token prefixes across
+//    sessions into
+//    refcounted shared chunk records (≥ 64 sessions over a ≥ 512-token
+//    common prefix must shrink stored payload bytes ≥ 4x vs sharing-off)
+//    while every session reads back its exact payload bytes;
 //  * copy-on-write at save granularity: a session diverging mid-chunk
 //    writes only its divergent chunks, shared ancestors keep one copy;
 //  * refcount lifecycle: no chunk is freed while referenced, none leaks
@@ -17,9 +17,10 @@
 //  * access checkpoints (the S1 bugfix): post-recovery eviction order
 //    follows real recency, not journal-upsert order;
 //  * engine-level differential soak: replies are bitwise-identical with
-//    sharing on vs off, caches tainted by KV truncation fall back to
-//    private records, async saves are fenced by ExportSession (S2), and a
-//    durable sharing engine resumes identically after a kill-restart.
+//    sharing on vs off (with and without KV compression), caches tainted by
+//    KV truncation fall back to private records (an empty block table),
+//    async saves are fenced by ExportSession (S2), and a durable sharing
+//    engine resumes identically after a kill-restart.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,8 +35,10 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/cached_attention.h"
+#include "src/model/compression.h"
 #include "src/model/transformer.h"
 #include "src/store/attention_store.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -100,7 +103,7 @@ Status PutSharedTokens(AttentionStore& store, SessionId s,
                        std::span<const std::uint32_t> tokens, SimTime now) {
   const std::vector<std::uint8_t> payload = TokenMajorPayload(tokens);
   SpanChunkSource source(payload, kBpt);
-  return store.PutShared(s, tokens, source, now, kNoHints);
+  return store.Put(s, source, tokens, now, kNoHints);
 }
 
 // The tentpole acceptance bar: 64 sessions sharing a 512-token prefix must
@@ -123,11 +126,7 @@ TEST(SharedPrefix, DedupShrinksStoredBytesAtLeast4x) {
     const auto tail = TokenSeq(kTail, 9000 + s);
     tokens.insert(tokens.end(), tail.begin(), tail.end());
     ASSERT_TRUE(PutSharedTokens(shared, s, tokens, static_cast<SimTime>(s)).ok());
-    const std::vector<std::uint8_t> payload = TokenMajorPayload(tokens);
-    ASSERT_TRUE(baseline
-                    .Put(s, payload.size(), tokens.size(), payload,
-                         static_cast<SimTime>(s), kNoHints)
-                    .ok());
+    ASSERT_TRUE(PutSharedTokens(baseline, s, tokens, static_cast<SimTime>(s)).ok());
     token_seqs.emplace(s, std::move(tokens));
   }
 
@@ -152,7 +151,6 @@ TEST(SharedPrefix, DedupShrinksStoredBytesAtLeast4x) {
   // the private tail.
   const auto info = shared.GetInfo(1);
   ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->shared);
   EXPECT_EQ(info->payload_bytes, (kPrefix + kTail) * kBpt);
   EXPECT_EQ(info->bytes, kTail * kBpt);
   EXPECT_EQ(info->token_count, kPrefix + kTail);
@@ -437,7 +435,7 @@ TEST(SharedRecovery, KillRestartRecoversChunksAndRefcounts) {
   for (SessionId s = 1; s <= kSessions; ++s) {
     const auto info = store.GetInfo(s);
     ASSERT_TRUE(info.has_value()) << "session " << s;
-    EXPECT_TRUE(info->shared);
+    EXPECT_GT(info->payload_bytes, info->bytes) << "session " << s << " lost its block table";
     auto read = store.ReadPayload(s);
     ASSERT_TRUE(read.ok()) << "session " << s << ": " << read.status();
     EXPECT_EQ(*read, TokenMajorPayload(token_seqs.at(s))) << "session " << s;
@@ -524,14 +522,14 @@ TEST(SharedRecovery, AccessCheckpointsPreserveLruOrderAcrossRestart) {
       ASSERT_TRUE(opened.ok()) << opened.status();
       // A inserted first (older upsert), B second — then A is touched at
       // t=100, making B the genuinely-cold record.
-      ASSERT_TRUE(opened->Put(1, payload.size(), 10, payload, 1, kNoHints).ok());
-      ASSERT_TRUE(opened->Put(2, payload.size(), 10, payload, 2, kNoHints).ok());
+      ASSERT_TRUE(PutBytes(*opened, 1, payload, 1, kNoHints).ok());
+      ASSERT_TRUE(PutBytes(*opened, 2, payload, 2, kNoHints).ok());
       ASSERT_TRUE(opened->Access(1, 100).has_value());
     }
     auto reopened = AttentionStore::Open(c);
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     // A third record forces one eviction from the 64 KiB tier.
-    ASSERT_TRUE(reopened->Put(3, payload.size(), 10, payload, 200, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(*reopened, 3, payload, 200, kNoHints).ok());
     if (checkpoints) {
       // Recovered recency is real: the LRU victim is B, the hot A survives.
       EXPECT_TRUE(reopened->GetInfo(1).has_value()) << "hot record evicted after recovery";
@@ -567,48 +565,61 @@ EngineOptions ShareEngineOptions() {
   return options;
 }
 
-// The tentpole's determinism bar (S4): with many sessions opening on a
-// common prompt, replies must be bitwise-identical with sharing on vs off —
-// sharing changes where bytes live, never what the model computes.
+// The determinism bar: with many sessions opening on a common prompt,
+// replies must be bitwise-identical with sharing on vs off — sharing
+// changes where bytes live, never what the model computes. The
+// compression-enabled engine flips purity turn to turn (the first turn's
+// save fits under the TDL budget and dedups; later turns discard tokens and
+// are stored whole), so one session's saves switch between a block table
+// and an empty one.
 TEST(ShareEngine, RepliesBitwiseIdenticalSharingOnVsOff) {
   Transformer model(ModelConfig::Mini(), 51);
-  CachedAttentionEngine on(&model, ShareEngineOptions());
-  EngineOptions off_opts = ShareEngineOptions();
-  off_opts.store.share_prefixes = false;
-  CachedAttentionEngine off(&model, off_opts);
+  for (const CompressionPolicy policy :
+       {CompressionPolicy::kNone, CompressionPolicy::kAttentionSink}) {
+    SCOPED_TRACE(policy == CompressionPolicy::kNone ? "no compression" : "attention-sink TDL");
+    EngineOptions on_opts = ShareEngineOptions();
+    on_opts.compression.policy = policy;
+    CachedAttentionEngine on(&model, on_opts);
+    EngineOptions off_opts = on_opts;
+    off_opts.store.share_prefixes = false;
+    CachedAttentionEngine off(&model, off_opts);
 
-  constexpr std::size_t kSessions = 6;
-  constexpr std::size_t kTurns = 3;
-  // Every session opens with the same system prompt (the shared prefix),
-  // then diverges onto its own turns.
-  const auto prompt = MakeTokens(24, 4242, model.config().vocab_size);
-  for (std::size_t t = 0; t < kTurns; ++t) {
-    for (SessionId s = 1; s <= kSessions; ++s) {
-      const auto input =
-          t == 0 ? prompt : MakeTokens(5 + t, 1000 * s + t, model.config().vocab_size);
-      auto ron = on.Converse(s, input, 6);
-      auto roff = off.Converse(s, input, 6);
-      ASSERT_TRUE(ron.ok()) << ron.status();
-      ASSERT_TRUE(roff.ok()) << roff.status();
-      EXPECT_EQ(ron->reply, roff->reply) << "turn " << t << " session " << s;
-      EXPECT_EQ(on.SessionHistory(s), off.SessionHistory(s));
+    constexpr std::size_t kSessions = 6;
+    constexpr std::size_t kTurns = 3;
+    // Every session opens with the same system prompt (the shared prefix),
+    // then diverges onto its own turns.
+    const auto prompt = MakeTokens(24, 4242, model.config().vocab_size);
+    std::uint64_t compressed = 0;
+    for (std::size_t t = 0; t < kTurns; ++t) {
+      for (SessionId s = 1; s <= kSessions; ++s) {
+        const auto input =
+            t == 0 ? prompt : MakeTokens(5 + t, 1000 * s + t, model.config().vocab_size);
+        auto ron = on.Converse(s, input, 6);
+        auto roff = off.Converse(s, input, 6);
+        ASSERT_TRUE(ron.ok()) << ron.status();
+        ASSERT_TRUE(roff.ok()) << roff.status();
+        EXPECT_EQ(ron->reply, roff->reply) << "turn " << t << " session " << s;
+        EXPECT_EQ(on.SessionHistory(s), off.SessionHistory(s));
+        compressed += ron->compressed_tokens;
+      }
     }
-  }
-  // Sharing must actually have engaged: turn-1 saves dedup the prompt.
-  const StoreStats& st = on.store().stats();
-  EXPECT_GT(st.shared_puts, 0ULL);
-  EXPECT_GT(st.prefix_hits, 0ULL);
-  EXPECT_GT(st.shared_bytes_saved, 0ULL);
-  EXPECT_EQ(off.store().stats().shared_puts, 0ULL);
-  on.store().CheckInvariants();
+    EXPECT_EQ(compressed > 0, policy != CompressionPolicy::kNone);
+    // Sharing must actually have engaged: turn-1 saves dedup the prompt.
+    const StoreStats& st = on.store().stats();
+    EXPECT_GT(st.shared_puts, 0ULL);
+    EXPECT_GT(st.prefix_hits, 0ULL);
+    EXPECT_GT(st.shared_bytes_saved, 0ULL);
+    EXPECT_EQ(off.store().stats().shared_puts, 0ULL);
+    on.store().CheckInvariants();
 
-  // All sessions ending must leave no chunk behind (the refcount
-  // invariant's terminal case).
-  for (SessionId s = 1; s <= kSessions; ++s) {
-    on.EndSession(s);
+    // All sessions ending must leave no chunk behind (the refcount
+    // invariant's terminal case).
+    for (SessionId s = 1; s <= kSessions; ++s) {
+      on.EndSession(s);
+    }
+    EXPECT_EQ(on.store().ChunkCount(), 0U);
+    on.store().CheckInvariants();
   }
-  EXPECT_EQ(on.store().ChunkCount(), 0U);
-  on.store().CheckInvariants();
 }
 
 // KV-truncated caches are impure: the rows kept attended over the dropped
@@ -626,7 +637,7 @@ TEST(ShareEngine, TruncatedCachesFallBackToPrivateRecords) {
   ASSERT_TRUE(engine.Converse(7, big, 4).ok());
   auto info = engine.store().GetInfo(7);
   ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->shared);
+  EXPECT_GT(info->payload_bytes, info->bytes) << "pure cache kept no block table";
 
   // Overflow: the engine truncates the loaded cache's front — tainted.
   const auto more = MakeTokens(60, 4, model.config().vocab_size);
@@ -635,7 +646,7 @@ TEST(ShareEngine, TruncatedCachesFallBackToPrivateRecords) {
   EXPECT_TRUE(r->truncated);
   info = engine.store().GetInfo(7);
   ASSERT_TRUE(info.has_value());
-  EXPECT_FALSE(info->shared) << "tainted cache entered the prefix index";
+  EXPECT_EQ(info->payload_bytes, info->bytes) << "tainted cache entered the prefix index";
 
   engine.store().CheckInvariants();
 }
@@ -671,7 +682,9 @@ TEST(ShareEngine, ExportDrainsAsyncSharedSaveMidFlight) {
     ASSERT_TRUE(snap->record.has_value())
         << "export raced the async save and found no record";
     EXPECT_EQ(snap->record->token_count, snap->history.size());
-    EXPECT_TRUE(snap->record->shared_format);
+    // The export is the materialized full payload, not the own piece.
+    EXPECT_EQ(snap->record->bytes,
+              snap->history.size() * KvCache::TokenMajorBytesPerToken(model.config()));
     source.EndSession(s);
     ASSERT_TRUE(target.ImportSession(*std::move(snap)).ok());
   }
@@ -747,27 +760,27 @@ TEST(ShareEngine, DurableKillRestartResumesBitwiseIdentical) {
   engine.store().CheckInvariants();
 }
 
-// v1 compatibility: histories saved by a pre-sharing engine (raw TokenId
-// blobs) restore under a sharing engine, conservatively marked impure —
-// replies stay identical, and purity (hence sharing) returns with the next
-// full recompute.
-TEST(ShareEngine, RestoresV1HistoriesFromPreSharingEngine) {
+// Durable stores journal the same history blob (history + purity bit)
+// whether or not they share prefixes, so sessions saved by a non-sharing
+// engine restore under a sharing one with their purity intact: replies stay
+// identical, and the next save already dedups through a block table.
+TEST(ShareEngine, RestoresHistoriesFromNonSharingEngine) {
   Transformer model(ModelConfig::Mini(), 51);
-  const std::string path = StorePath("v1_compat");
+  const std::string path = StorePath("non_sharing_restore");
   const auto input = MakeTokens(20, 9, model.config().vocab_size);
   std::vector<TokenId> reply2;
   {
-    EngineOptions v1 = DurableShareEngineOptions(path);
-    v1.store.share_prefixes = false;  // pre-sharing engine: raw v1 blobs
-    auto engine = CachedAttentionEngine::Create(&model, v1);
+    EngineOptions plain = DurableShareEngineOptions(path);
+    plain.store.share_prefixes = false;
+    auto engine = CachedAttentionEngine::Create(&model, plain);
     ASSERT_TRUE(engine.ok()) << engine.status();
     ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
   }
   {
     // Reference for the second turn, no restarts involved.
-    EngineOptions v1 = DurableShareEngineOptions(StorePath("v1_compat_ref"));
-    v1.store.share_prefixes = false;
-    auto engine = CachedAttentionEngine::Create(&model, v1);
+    EngineOptions plain = DurableShareEngineOptions(StorePath("non_sharing_restore_ref"));
+    plain.store.share_prefixes = false;
+    auto engine = CachedAttentionEngine::Create(&model, plain);
     ASSERT_TRUE(engine.ok());
     ASSERT_TRUE((*engine)->Converse(1, input, 5).ok());
     auto r = (*engine)->Converse(1, MakeTokens(6, 10, model.config().vocab_size), 5);
@@ -780,6 +793,10 @@ TEST(ShareEngine, RestoresV1HistoriesFromPreSharingEngine) {
   auto r = (*upgraded)->Converse(1, MakeTokens(6, 10, model.config().vocab_size), 5);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->reply, reply2);
+  EXPECT_TRUE(r->cache_hit);
+  const auto info = (*upgraded)->store().GetInfo(1);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_GT(info->payload_bytes, info->bytes) << "restored purity did not reach the save";
   (*upgraded)->store().CheckInvariants();
 }
 

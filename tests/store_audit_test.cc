@@ -21,6 +21,7 @@
 #include "src/common/units.h"
 #include "src/store/attention_store.h"
 #include "src/store/block_storage.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -65,9 +66,12 @@ void StressRound(StoreConfig config, std::uint64_t seed) {
       case 1:
       case 2: {  // Put (fresh insert or update), 1..4 blocks, odd sizes
         const std::uint64_t bytes = 1 + rng.NextBounded(4 * KiB(4));
-        const auto payload = real ? Payload(bytes, static_cast<std::uint8_t>(session)) :
-                                    std::vector<std::uint8_t>{};
-        (void)store.Put(session, bytes, bytes / 16, payload, now, h);
+        if (real) {
+          (void)PutBytes(store, session, Payload(bytes, static_cast<std::uint8_t>(session)), now,
+                         h);
+        } else {
+          (void)store.Put(session, bytes, bytes / 16, now, h);
+        }
         break;
       }
       case 3:
@@ -139,7 +143,7 @@ using StoreAuditDeathTest = ::testing::Test;
 TEST(StoreAuditDeathTest, FiresOnUsedBytesDrift) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   AttentionStore store(AuditedConfig());
-  ASSERT_TRUE(store.Put(1, KiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, KiB(4), 10, 0, kNoHints).ok());
   store.CheckInvariants();  // clean before the injection
   store.CorruptUsedBytesForTesting(Tier::kDram, static_cast<std::int64_t>(KiB(4)));
   EXPECT_DEATH(store.CheckInvariants(), "used_bytes drifted");
@@ -157,7 +161,7 @@ TEST(StoreAuditDeathTest, FiresOnCapacityBreach) {
 TEST(StoreAuditDeathTest, AuditFlagTripsOnNextMutation) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   AttentionStore store(AuditedConfig());
-  ASSERT_TRUE(store.Put(1, KiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, KiB(4), 10, 0, kNoHints).ok());
   store.CorruptUsedBytesForTesting(Tier::kDram, -static_cast<std::int64_t>(KiB(4)));
   // The corruption is caught by the *next* mutating operation, not only by
   // an explicit CheckInvariants call. (Remove's own accounting update makes

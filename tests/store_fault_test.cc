@@ -26,6 +26,7 @@
 #include "src/store/attention_store.h"
 #include "src/store/block_storage.h"
 #include "src/store/fault_injection.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -246,7 +247,7 @@ TEST(StoreFault, TransientFaultsAreRetriedToSuccess) {
   AttentionStore store(config);
   for (SessionId s = 0; s < 8; ++s) {
     const auto payload = Payload(KiB(4) + 100, static_cast<std::uint8_t>(s));
-    ASSERT_TRUE(store.Put(s, payload.size(), 10, payload, 0, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, s, payload, 0, kNoHints).ok());
   }
   for (SessionId s = 0; s < 8; ++s) {
     auto read = store.ReadPayload(s);
@@ -265,7 +266,7 @@ TEST(StoreFault, RepeatedPermanentFaultsQuarantineTier) {
   config.disk_fault.write_permanent_p = 1.0;  // disk accepts nothing
   AttentionStore store(config);
   const auto payload = Payload(KiB(8), 1);
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, payload, 0, kNoHints).ok());
   ASSERT_EQ(store.Lookup(1), Tier::kDram);
 
   // First failed demotion: rolled back, tier degraded.
@@ -299,7 +300,7 @@ TEST(StoreFault, QuarantineDropsResidentRecordsAsMisses) {
   SimTime now = 0;
   for (SessionId s = 0; s < 4; ++s) {
     const auto payload = Payload(KiB(8), static_cast<std::uint8_t>(s));
-    ASSERT_TRUE(store.Put(s, payload.size(), 10, payload, ++now, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, s, payload, ++now, kNoHints).ok());
   }
   // LRU pressure demoted the two oldest records to disk.
   ASSERT_EQ(store.Lookup(0), Tier::kDisk);
@@ -330,7 +331,7 @@ TEST(StoreFault, TornWriteDetectedByChecksumAndDropped) {
   AttentionStore store(config);
   const auto payload = Payload(KiB(8), 42);
   // The torn write "succeeds": only the read-path checksum can see it.
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, payload, 0, kNoHints).ok());
   auto read = store.ReadPayload(1);
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(store.stats().corrupt_payloads, 1ULL);
@@ -343,15 +344,16 @@ TEST(StoreFault, TornWriteDetectedByChecksumAndDropped) {
 
 TEST(StoreFault, ZeroCopyTornWriteDetectedByChecksum) {
   // The zero-copy write hashes bytes as the engine's source produces them —
-  // BEFORE the device can tear them — so a corrupting device still yields a
-  // checksum of the clean bytes and the read path catches the damage.
+  // token range by token range, BEFORE the device can tear them — so a
+  // corrupting device still yields a checksum of the clean bytes and the
+  // read path catches the damage.
   StoreConfig config = FaultedConfig();
   config.disk_capacity = 0;  // DRAM only
   config.dram_fault.write_corrupt_p = 1.0;
   AttentionStore store(config);
   const auto payload = Payload(KiB(8), 42);
-  SpanSource source(payload);
-  ASSERT_TRUE(store.Put(1, 10, source, 0, kNoHints).ok());
+  SpanChunkSource source(payload, KiB(1));  // 8 tokens of 1 KiB
+  ASSERT_TRUE(store.Put(1, source, /*dedup_tokens=*/{}, 0, kNoHints).ok());
   auto read = store.ReadPayload(1);
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(store.stats().corrupt_payloads, 1ULL);
@@ -368,7 +370,7 @@ TEST(StoreFault, TornBatchedDiskWriteDetectedByChecksum) {
   config.disk_fault.write_corrupt_p = 1.0;
   AttentionStore store(config);
   const auto payload = Payload(KiB(8), 11);
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, payload, 0, kNoHints).ok());
   ASSERT_EQ(store.Lookup(1), Tier::kDram);
   // The demotion's disk write tears silently; the record lands on disk.
   ASSERT_TRUE(store.Demote(1, 1, kNoHints).ok());
@@ -386,7 +388,7 @@ TEST(StoreFault, ShortReadDetectedByChecksumAndDropped) {
   config.dram_fault.read_corrupt_p = 1.0;  // every read comes back short
   AttentionStore store(config);
   const auto payload = Payload(KiB(8) + 77, 8);
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, payload, 0, kNoHints).ok());
   auto read = store.ReadPayload(1);
   EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
   EXPECT_EQ(store.stats().corrupt_payloads, 1ULL);
@@ -395,14 +397,11 @@ TEST(StoreFault, ShortReadDetectedByChecksumAndDropped) {
 }
 
 TEST(StoreFault, StreamingReadReportsCorruptionAfterSinkSawBytes) {
-  // ReadPayloadInto streams chunks before the verdict; the contract is that
-  // the non-OK Status tells the caller to discard what the sink consumed.
-  StoreConfig config = FaultedConfig();
-  config.disk_capacity = 0;
-  config.dram_fault.read_corrupt_p = 1.0;
-  AttentionStore store(config);
-  const auto payload = Payload(KiB(8), 4);
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  // ReadPayloadInto streams each piece before its checksum verdict; the
+  // contract is that the non-OK Status tells the caller to discard what the
+  // sink consumed. Inputs: a private record (one piece), and a record whose
+  // first piece is a shared chunk another session also references — the
+  // bad chunk must take every referrer with it.
   struct CollectSink final : PayloadSink {
     std::vector<std::uint8_t> data;
     void Reset() override { data.clear(); }
@@ -410,12 +409,32 @@ TEST(StoreFault, StreamingReadReportsCorruptionAfterSinkSawBytes) {
       data.insert(data.end(), chunk.begin(), chunk.end());
     }
   };
-  CollectSink sink;
-  const Status read = store.ReadPayloadInto(1, sink);
-  EXPECT_EQ(read.code(), StatusCode::kDataLoss);
-  EXPECT_FALSE(sink.data.empty());  // the sink did see (damaged) bytes
-  EXPECT_EQ(store.Lookup(1), Tier::kNone);
-  store.CheckInvariants();
+  for (const bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared chunk" : "private record");
+    StoreConfig config = FaultedConfig();
+    config.disk_capacity = 0;
+    config.dram_fault.read_corrupt_p = 1.0;
+    config.share_prefixes = shared;
+    config.share_chunk_tokens = 4;
+    AttentionStore store(config);
+    const auto payload = Payload(KiB(8), 4);
+    const std::vector<std::uint32_t> tokens = {1, 2, 3, 4, 5, 6, 7, 8};  // 8 tokens of 1 KiB
+    for (const SessionId s : {SessionId{1}, SessionId{2}}) {
+      SpanChunkSource source(payload, KiB(1));
+      ASSERT_TRUE(store.Put(s, source, tokens, 0, kNoHints).ok());
+    }
+    ASSERT_EQ(store.ChunkCount(), shared ? 1U : 0U);
+    CollectSink sink;
+    const Status read = store.ReadPayloadInto(1, sink);
+    EXPECT_EQ(read.code(), StatusCode::kDataLoss);
+    EXPECT_FALSE(sink.data.empty());  // the sink did see (damaged) bytes
+    EXPECT_EQ(store.Lookup(1), Tier::kNone);
+    // A bad own piece drops only its session; a bad shared chunk drops
+    // every session referencing it, and the chunk with them.
+    EXPECT_EQ(store.Lookup(2), shared ? Tier::kNone : Tier::kDram);
+    EXPECT_EQ(store.ChunkCount(), 0U);
+    store.CheckInvariants();
+  }
 }
 
 TEST(FileBlockStorageFault, OpenFailsOnUnwritablePath) {
@@ -432,7 +451,7 @@ TEST(StoreFault, UnopenableDiskTierIsDisabledNotFatal) {
   EXPECT_EQ(store.tier_health(Tier::kDisk), TierHealth::kQuarantined);
   // The store keeps serving from DRAM.
   const auto payload = Payload(KiB(8), 5);
-  ASSERT_TRUE(store.Put(1, payload.size(), 10, payload, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, payload, 0, kNoHints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kDram);
   EXPECT_EQ(store.Demote(1, 1, kNoHints).code(), StatusCode::kFailedPrecondition);
   auto read = store.ReadPayload(1);
@@ -479,7 +498,7 @@ TEST(StoreFaultSoak, RandomOpsUnderInjectedFaultsKeepInvariants) {
       case 2: {
         const std::uint64_t bytes = 1 + rng.NextBounded(4 * KiB(4));
         const auto payload = Payload(bytes, static_cast<std::uint8_t>(session));
-        (void)store.Put(session, bytes, bytes / 16, payload, now, h);
+        (void)PutBytes(store, session, payload, now, h);
         break;
       }
       case 3:

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "src/common/units.h"
 #include "src/store/attention_store.h"
 #include "src/store/block_storage.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -81,6 +83,12 @@ struct BackendParam {
   DiskIoMode mode;
   bool direct;
 };
+
+// Prints the backend's name. gtest's default dump of an unprintable struct
+// is its raw bytes, which here include the address of `name` and padding,
+// so the test names that gtest_discover_tests records would differ between
+// builds.
+void PrintTo(const BackendParam& p, std::ostream* os) { *os << p.name; }
 
 class IoBackendTest : public ::testing::TestWithParam<BackendParam> {
  protected:
@@ -257,14 +265,57 @@ StoreConfig PayloadConfig() {
   return config;
 }
 
+// ChunkedPayloadSource that generates PatternSource's bytes per token range
+// on demand, with no backing buffer — the shape of the engine's
+// cache-backed source, next to the SpanChunkSource its async saves use.
+class PatternChunkSource final : public ChunkedPayloadSource, private PayloadSource {
+ public:
+  PatternChunkSource(std::uint64_t tokens, std::uint64_t bytes_per_token)
+      : tokens_(tokens), bytes_per_token_(bytes_per_token) {}
+
+  std::uint64_t total_tokens() const override { return tokens_; }
+  std::uint64_t bytes_per_token() const override { return bytes_per_token_; }
+  PayloadSource& Range(std::uint64_t token_begin, std::uint64_t token_end) override {
+    begin_ = token_begin * bytes_per_token_;
+    end_ = token_end * bytes_per_token_;
+    pos_ = begin_;
+    return *this;
+  }
+
+ private:
+  std::uint64_t size() const override { return end_ - begin_; }
+  void Reset() override { pos_ = begin_; }
+  void Fill(std::span<std::uint8_t> dest) override {
+    for (auto& b : dest) {
+      b = static_cast<std::uint8_t>((pos_++ * 131U) & 0xFFU);
+    }
+  }
+
+  std::uint64_t tokens_;
+  std::uint64_t bytes_per_token_;
+  std::uint64_t begin_ = 0;
+  std::uint64_t end_ = 0;
+  std::uint64_t pos_ = 0;
+};
+
 TEST(StoreZeroCopyTest, SourcePutMatchesSpanPut) {
-  const auto data = Payload(KiB(64) * 2 + 9, 23);
-  AttentionStore span_store(PayloadConfig());
-  AttentionStore source_store(PayloadConfig());
+  // 7 tokens, deduplicated in 2-token chunks: Put pulls both sources range
+  // by range, and both must land the same bytes.
+  constexpr std::uint64_t kTokens = 7;
+  constexpr std::uint64_t kBpt = KiB(16) + 9;
+  const auto data = PatternSource::Expected(kTokens * kBpt);
+  const std::vector<std::uint32_t> tokens = {3, 1, 4, 1, 5, 9, 2};
+  StoreConfig config = PayloadConfig();
+  config.share_prefixes = true;
+  config.share_chunk_tokens = 2;
+  AttentionStore span_store(config);
+  AttentionStore source_store(config);
   const SchedulerHints hints;
-  ASSERT_TRUE(span_store.Put(1, data.size(), 10, data, 1, hints).ok());
-  SpanSource source(data);
-  ASSERT_TRUE(source_store.Put(1, 10, source, 1, hints).ok());
+  SpanChunkSource span(data, kBpt);
+  ASSERT_TRUE(span_store.Put(1, span, tokens, 1, hints).ok());
+  PatternChunkSource source(kTokens, kBpt);
+  ASSERT_TRUE(source_store.Put(1, source, tokens, 1, hints).ok());
+  EXPECT_EQ(source_store.ChunkCount(), 3U);
 
   auto via_span = span_store.ReadPayload(1);
   ASSERT_TRUE(via_span.ok());
@@ -275,16 +326,18 @@ TEST(StoreZeroCopyTest, SourcePutMatchesSpanPut) {
 }
 
 TEST(StoreZeroCopyTest, ChecksumVerifiesAcrossPaths) {
-  // A payload stored through the zero-copy path must verify (same
-  // checksum) when read through the legacy path and vice versa.
+  // The checksum folded in while Put streams the bytes must verify on both
+  // read paths: the collected ReadPayload and the streaming ReadPayloadInto.
   const auto data = Payload(KiB(64) + 1234, 29);
   AttentionStore store(PayloadConfig());
   const SchedulerHints hints;
-  SpanSource source(data);
-  ASSERT_TRUE(store.Put(7, 10, source, 1, hints).ok());
+  ASSERT_TRUE(PutBytes(store, 7, data, 1, hints).ok());
   auto read = store.ReadPayload(7);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
+  CollectSink sink;
+  ASSERT_TRUE(store.ReadPayloadInto(7, sink).ok());
+  EXPECT_EQ(sink.data, data);
   EXPECT_EQ(store.stats().corrupt_payloads, 0U);
 }
 
@@ -292,7 +345,7 @@ TEST(StoreZeroCopyTest, TierIoCountersAccumulate) {
   const auto data = Payload(KiB(64) * 2, 31);
   AttentionStore store(PayloadConfig());
   const SchedulerHints hints;
-  ASSERT_TRUE(store.Put(1, data.size(), 10, data, 1, hints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, data, 1, hints).ok());
   auto read = store.ReadPayload(1);
   ASSERT_TRUE(read.ok());
   const auto& io = store.stats().tier_io[static_cast<std::size_t>(Tier::kDram)];
@@ -316,7 +369,7 @@ TEST(StoreZeroCopyTest, ChecksumsOffStillRoundTrips) {
   const auto data = Payload(KiB(64) + 5, 37);
   AttentionStore store(config);
   const SchedulerHints hints;
-  ASSERT_TRUE(store.Put(1, data.size(), 10, data, 1, hints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, data, 1, hints).ok());
   auto read = store.ReadPayload(1);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);

@@ -19,8 +19,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,12 +30,14 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/cached_attention.h"
 #include "src/model/transformer.h"
 #include "src/store/attention_store.h"
 #include "src/store/meta_store.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -292,8 +296,7 @@ TEST(DurableStore, CleanReopenServesTheWarmTier) {
     for (SessionId s = 1; s <= 5; ++s) {
       auto payload = SessionPayload(s, /*version=*/1, KiB(4) * s);
       const std::vector<std::uint8_t> meta = {static_cast<std::uint8_t>(s), 0xee};
-      ASSERT_TRUE(store.Put(s, payload.size(), /*token_count=*/s, payload,
-                            /*now=*/static_cast<SimTime>(s), kNoHints, meta)
+      ASSERT_TRUE(PutBytes(store, s, payload, /*now=*/static_cast<SimTime>(s), kNoHints, meta)
                       .ok());
       expected[s] = std::move(payload);
     }
@@ -324,13 +327,53 @@ TEST(DurableStore, JournalPayloadStoreIdMismatchFailsOpen) {
     ASSERT_TRUE(opened.ok()) << opened.status();
     AttentionStore store = std::move(*opened);
     auto payload = SessionPayload(1, 1, KiB(4));
-    ASSERT_TRUE(store.Put(1, payload.size(), 1, payload, 1, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, 1, payload, 1, kNoHints).ok());
   }
   // A's journal over B's payload file: two different stores glued together.
   CopyFile(path_a + ".meta", path_b + ".meta");
   auto opened = AttentionStore::Open(DurableConfig(path_b));
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// A journal written by an older build (superblock version 2, checksum
+// intact) must fail Open naming both versions — not be misread under the
+// current record format — and leave both files exactly as they were.
+TEST(DurableStore, JournalVersionMismatchFailsOpen) {
+  const std::string path = StorePath("durable_old_version");
+  {
+    auto opened = AttentionStore::Open(DurableConfig(path));
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    AttentionStore store = std::move(*opened);
+    ASSERT_TRUE(PutBytes(store, 1, SessionPayload(1, 1, KiB(4)), 1, kNoHints).ok());
+  }
+  const auto read_file = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
+  };
+  std::vector<std::uint8_t> journal = read_file(path + ".meta");
+  ASSERT_GE(journal.size(), 64U);
+  // Superblock: [0] magic, [4] version, [8] block_bytes, [16] store_id,
+  // [24] Fnv1a64 over [0, 24).
+  const std::uint32_t old_version = 2;
+  std::memcpy(journal.data() + 4, &old_version, sizeof old_version);
+  const std::uint64_t sum = Fnv1a64(std::span<const std::uint8_t>(journal.data(), 24));
+  std::memcpy(journal.data() + 24, &sum, sizeof sum);
+  {
+    std::ofstream out(path + ".meta", std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(journal.data()),
+              static_cast<std::streamsize>(journal.size()));
+  }
+  const std::vector<std::uint8_t> payload_file = read_file(path);
+
+  auto opened = AttentionStore::Open(DurableConfig(path));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+  const std::string& message = opened.status().message();
+  EXPECT_NE(message.find("version 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("writes 3"), std::string::npos) << message;
+  EXPECT_EQ(read_file(path + ".meta"), journal);
+  EXPECT_EQ(read_file(path), payload_file);
 }
 
 TEST(DurableStore, MissingPayloadSuperblockFailsOpen) {
@@ -340,7 +383,7 @@ TEST(DurableStore, MissingPayloadSuperblockFailsOpen) {
     ASSERT_TRUE(opened.ok()) << opened.status();
     AttentionStore store = std::move(*opened);
     auto payload = SessionPayload(1, 1, KiB(4));
-    ASSERT_TRUE(store.Put(1, payload.size(), 1, payload, 1, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, 1, payload, 1, kNoHints).ok());
   }
   // Journal present but the payload file is gone/empty: refusing is the
   // only honest answer (the journal promises records the device lost).
@@ -359,8 +402,8 @@ TEST(DurableStore, RecoverVerifyPayloadsDropsCorruptedRecords) {
     AttentionStore store = std::move(*opened);
     auto victim = SessionPayload(1, 1, KiB(8));
     expected_keep = SessionPayload(2, 1, KiB(8));
-    ASSERT_TRUE(store.Put(1, victim.size(), 1, victim, 1, kNoHints).ok());
-    ASSERT_TRUE(store.Put(2, expected_keep.size(), 1, expected_keep, 2, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, 1, victim, 1, kNoHints).ok());
+    ASSERT_TRUE(PutBytes(store, 2, expected_keep, 2, kNoHints).ok());
   }
   {
     // Flip one byte of session 1's first block (the first data block: puts
@@ -417,8 +460,12 @@ void RunCrashPointSoak(const std::string& name,
       const std::uint64_t roll = rng.NextBounded(10);
       if (roll < 8) {
         const std::uint64_t v = ++version[s];
-        auto payload = SessionPayload(s, v, KiB(4) * (1 + rng.NextBounded(4)));
-        if (store.Put(s, payload.size(), v, payload, static_cast<SimTime>(step + 1), kNoHints)
+        // The record's token count doubles as the version stamp: v whole
+        // tokens, the size rounded down to a multiple of v (which keeps the
+        // block count, hence the crash schedule, unchanged).
+        auto payload = SessionPayload(s, v, KiB(4) * (1 + rng.NextBounded(4)) / v * v);
+        SpanChunkSource source(payload, payload.size() / v);
+        if (store.Put(s, source, /*dedup_tokens=*/{}, static_cast<SimTime>(step + 1), kNoHints)
                 .ok()) {
           put_log[{s, v}] = std::move(payload);
         }

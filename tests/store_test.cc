@@ -11,6 +11,7 @@
 #include "src/store/attention_store.h"
 #include "src/store/block_allocator.h"
 #include "src/store/block_storage.h"
+#include "tests/store_test_util.h"
 
 namespace ca {
 namespace {
@@ -145,7 +146,7 @@ const SchedulerHints kNoHints;
 
 TEST(AttentionStoreTest, PutLandsInDram) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(4), 100, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 100, 0, kNoHints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kDram);
   EXPECT_EQ(store.UsedBytes(Tier::kDram), MiB(4));
   EXPECT_EQ(store.RecordCount(), 1U);
@@ -153,7 +154,7 @@ TEST(AttentionStoreTest, PutLandsInDram) {
 
 TEST(AttentionStoreTest, AccessCountsHitsPerTier) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(2), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(2), 10, 0, kNoHints).ok());
   EXPECT_TRUE(store.Access(1, 1).has_value());
   EXPECT_FALSE(store.Access(99, 2).has_value());
   EXPECT_EQ(store.stats().lookups, 2ULL);
@@ -165,9 +166,9 @@ TEST(AttentionStoreTest, AccessCountsHitsPerTier) {
 TEST(AttentionStoreTest, OverflowDemotesToDisk) {
   AttentionStore store(SmallConfig());
   // DRAM holds 2 blocks; third record forces a demotion.
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
-  ASSERT_TRUE(store.Put(2, MiB(4), 10, {}, 1, kNoHints).ok());
-  ASSERT_TRUE(store.Put(3, MiB(4), 10, {}, 2, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(2, MiB(4), 10, 1, kNoHints).ok());
+  ASSERT_TRUE(store.Put(3, MiB(4), 10, 2, kNoHints).ok());
   EXPECT_EQ(store.Lookup(3), Tier::kDram);
   // Scheduler-aware policy with no hints: LRU fallback demotes session 1.
   EXPECT_EQ(store.Lookup(1), Tier::kDisk);
@@ -179,7 +180,7 @@ TEST(AttentionStoreTest, FullSystemEvictsOut) {
   AttentionStore store(SmallConfig());
   // Capacity: 2 DRAM + 4 disk blocks = 6 records of one block.
   for (SessionId s = 0; s < 7; ++s) {
-    ASSERT_TRUE(store.Put(s, MiB(4), 10, {}, static_cast<SimTime>(s), kNoHints).ok());
+    ASSERT_TRUE(store.Put(s, MiB(4), 10, static_cast<SimTime>(s), kNoHints).ok());
   }
   EXPECT_EQ(store.RecordCount(), 6U);
   EXPECT_EQ(store.stats().evictions_out, 1ULL);
@@ -188,15 +189,15 @@ TEST(AttentionStoreTest, FullSystemEvictsOut) {
 
 TEST(AttentionStoreTest, RecordLargerThanEverythingIsRejected) {
   AttentionStore store(SmallConfig());
-  const Status s = store.Put(1, MiB(64), 10, {}, 0, kNoHints);
+  const Status s = store.Put(1, MiB(64), 10, 0, kNoHints);
   EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(store.RecordCount(), 0U);
 }
 
 TEST(AttentionStoreTest, UpdateReplacesSize) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(2), 10, {}, 0, kNoHints).ok());
-  ASSERT_TRUE(store.Put(1, MiB(8), 25, {}, 1, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(2), 10, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(8), 25, 1, kNoHints).ok());
   EXPECT_EQ(store.RecordCount(), 1U);
   EXPECT_EQ(store.stats().inserts, 1ULL);
   EXPECT_EQ(store.stats().updates, 1ULL);
@@ -208,7 +209,7 @@ TEST(AttentionStoreTest, UpdateReplacesSize) {
 
 TEST(AttentionStoreTest, PromoteAndDemote) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   ASSERT_TRUE(store.Demote(1, 1, kNoHints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kDisk);
   ASSERT_TRUE(store.Promote(1, 2, kNoHints).ok());
@@ -220,13 +221,13 @@ TEST(AttentionStoreTest, PromoteAndDemote) {
 TEST(AttentionStoreTest, PromoteErrors) {
   AttentionStore store(SmallConfig());
   EXPECT_EQ(store.Promote(9, 0, kNoHints).code(), StatusCode::kNotFound);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   EXPECT_EQ(store.Promote(1, 1, kNoHints).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(AttentionStoreTest, RemoveForgetsRecord) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   store.Remove(1);
   EXPECT_EQ(store.Lookup(1), Tier::kNone);
   EXPECT_EQ(store.UsedBytes(Tier::kDram), 0ULL);
@@ -237,8 +238,8 @@ TEST(AttentionStoreTest, TtlExpiresIdleRecords) {
   StoreConfig config = SmallConfig();
   config.ttl = kHour;
   AttentionStore store(config);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
-  ASSERT_TRUE(store.Put(2, MiB(4), 10, {}, 30 * kMinute, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(2, MiB(4), 10, 30 * kMinute, kNoHints).ok());
   // Touch session 1 at t=50min so it survives the sweep at t=70min.
   EXPECT_TRUE(store.Access(1, 50 * kMinute).has_value());
   EXPECT_EQ(store.ExpireTtl(70 * kMinute), 0U);  // nothing idle > 1h yet
@@ -252,8 +253,8 @@ TEST(AttentionStoreTest, MaintainDramBufferFreesSpace) {
   StoreConfig config = SmallConfig();
   config.dram_buffer = MiB(4);  // keep one block free
   AttentionStore store(config);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
-  ASSERT_TRUE(store.Put(2, MiB(4), 10, {}, 1, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(2, MiB(4), 10, 1, kNoHints).ok());
   EXPECT_EQ(store.FreeBytes(Tier::kDram), 0ULL);
   const std::size_t demoted = store.MaintainDramBuffer(2, kNoHints);
   EXPECT_EQ(demoted, 1U);
@@ -263,13 +264,13 @@ TEST(AttentionStoreTest, MaintainDramBufferFreesSpace) {
 
 TEST(AttentionStoreTest, SchedulerHintsProtectUpcomingSessions) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
-  ASSERT_TRUE(store.Put(2, MiB(4), 10, {}, 1, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(2, MiB(4), 10, 1, kNoHints).ok());
   // Session 1 is the LRU victim, but it has a queued job; session 2 does
   // not, so the scheduler-aware policy demotes 2 instead.
   SchedulerHints hints;
   hints.next_use_index[1] = 0;
-  ASSERT_TRUE(store.Put(3, MiB(4), 10, {}, 2, hints).ok());
+  ASSERT_TRUE(store.Put(3, MiB(4), 10, 2, hints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kDram);
   EXPECT_EQ(store.Lookup(2), Tier::kDisk);
 }
@@ -278,10 +279,10 @@ TEST(AttentionStoreTest, HbmTierPreferredWhenEnabled) {
   StoreConfig config = SmallConfig();
   config.hbm_capacity = MiB(4);
   AttentionStore store(config);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kHbm);
   // Second record: HBM full, cascades into DRAM.
-  ASSERT_TRUE(store.Put(2, MiB(4), 10, {}, 1, kNoHints).ok());
+  ASSERT_TRUE(store.Put(2, MiB(4), 10, 1, kNoHints).ok());
   EXPECT_EQ(store.Lookup(2), Tier::kHbm);
   EXPECT_EQ(store.Lookup(1), Tier::kDram);
 }
@@ -290,7 +291,7 @@ TEST(AttentionStoreTest, DiskOnlyConfigWorks) {
   StoreConfig config = SmallConfig();
   config.dram_capacity = 0;
   AttentionStore store(config);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   EXPECT_EQ(store.Lookup(1), Tier::kDisk);
   EXPECT_EQ(store.Access(1, 1)->tier, Tier::kDisk);
   EXPECT_EQ(store.stats().disk_hits, 1ULL);
@@ -301,7 +302,7 @@ TEST(AttentionStoreTest, RealPayloadRoundTripAcrossTiers) {
   config.real_payloads = true;
   AttentionStore store(config);
   const auto data = Payload(MiB(3), 7);
-  ASSERT_TRUE(store.Put(1, data.size(), 42, data, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(store, 1, data, 0, kNoHints).ok());
   auto read = store.ReadPayload(1);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
@@ -328,9 +329,10 @@ TEST(AttentionStoreTest, ExportImportRoundTripIsBitwise) {
   config.audit = true;
   AttentionStore source(config);
   AttentionStore target(config);
-  const auto data = Payload(MiB(3), 21);
+  const auto data = Payload(42 * KiB(64), 21);  // 42 tokens of 64 KiB
   const std::vector<std::uint8_t> meta = {9, 8, 7, 6};
-  ASSERT_TRUE(source.Put(1, data.size(), 42, data, 5, kNoHints, meta).ok());
+  SpanChunkSource chunks(data, KiB(64));
+  ASSERT_TRUE(source.Put(1, chunks, /*dedup_tokens=*/{}, 5, kNoHints, meta).ok());
 
   auto exported = source.ExportRecord(1);
   ASSERT_TRUE(exported.ok());
@@ -361,9 +363,9 @@ TEST(AttentionStoreTest, ImportIntoOccupiedSessionIsRejected) {
   AttentionStore source(config);
   AttentionStore target(config);
   const auto data = Payload(MiB(2), 3);
-  ASSERT_TRUE(source.Put(1, data.size(), 10, data, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(source, 1, data, 0, kNoHints).ok());
   const auto resident = Payload(MiB(1), 4);
-  ASSERT_TRUE(target.Put(1, resident.size(), 5, resident, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(target, 1, resident, 0, kNoHints).ok());
 
   auto exported = source.ExportRecord(1);
   ASSERT_TRUE(exported.ok());
@@ -381,7 +383,7 @@ TEST(AttentionStoreTest, ImportReverifiesChecksum) {
   AttentionStore source(config);
   AttentionStore target(config);
   const auto data = Payload(MiB(2), 11);
-  ASSERT_TRUE(source.Put(1, data.size(), 10, data, 0, kNoHints).ok());
+  ASSERT_TRUE(PutBytes(source, 1, data, 0, kNoHints).ok());
   auto exported = source.ExportRecord(1);
   ASSERT_TRUE(exported.ok());
 
@@ -395,6 +397,27 @@ TEST(AttentionStoreTest, ImportReverifiesChecksum) {
   EXPECT_EQ(target.stats().imports, 0ULL);
 }
 
+// An imported payload comes from outside the store: it must split into
+// its token count's whole tokens to become a token-addressed record.
+TEST(AttentionStoreTest, ImportRejectsPayloadThatIsNotWholeTokens) {
+  StoreConfig config = SmallConfig();
+  config.real_payloads = true;
+  AttentionStore source(config);
+  AttentionStore target(config);
+  const auto data = Payload(MiB(1), 13);
+  ASSERT_TRUE(PutBytes(source, 1, data, 0, kNoHints).ok());
+  auto exported = source.ExportRecord(1);
+  ASSERT_TRUE(exported.ok());
+  for (const std::uint64_t tokens : {std::uint64_t{0}, std::uint64_t{3}}) {
+    ExportedRecord bad = *exported;
+    bad.token_count = tokens;  // MiB(1) is not a multiple of 3
+    EXPECT_EQ(target.ImportRecord(bad, 1, kNoHints).code(), StatusCode::kInvalidArgument)
+        << tokens << " tokens";
+  }
+  EXPECT_EQ(target.RecordCount(), 0U);
+  EXPECT_EQ(target.stats().imports, 0ULL);
+}
+
 TEST(AttentionStoreTest, ExportUnknownSessionIsNotFound) {
   AttentionStore store(SmallConfig());
   const auto exported = store.ExportRecord(404);
@@ -404,7 +427,7 @@ TEST(AttentionStoreTest, ExportUnknownSessionIsNotFound) {
 TEST(AttentionStoreTest, CapacityOnlyExportImportMovesAccounting) {
   AttentionStore source(SmallConfig());
   AttentionStore target(SmallConfig());
-  ASSERT_TRUE(source.Put(1, MiB(4), 100, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(source.Put(1, MiB(4), 100, 0, kNoHints).ok());
   auto exported = source.ExportRecord(1);
   ASSERT_TRUE(exported.ok());
   EXPECT_TRUE(exported->payload.empty());
@@ -416,21 +439,21 @@ TEST(AttentionStoreTest, CapacityOnlyExportImportMovesAccounting) {
 TEST(AttentionStoreTest, UserMetaRetainedWithoutDurability) {
   AttentionStore store(SmallConfig());
   const std::vector<std::uint8_t> meta = {1, 2, 3};
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints, meta).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints, meta).ok());
   ASSERT_NE(store.UserMeta(1), nullptr);
   EXPECT_EQ(*store.UserMeta(1), meta);
   // Moves keep the blob; a fresh Put without one replaces it.
   ASSERT_TRUE(store.Demote(1, 1, kNoHints).ok());
   ASSERT_NE(store.UserMeta(1), nullptr);
   EXPECT_EQ(*store.UserMeta(1), meta);
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 2, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 2, kNoHints).ok());
   ASSERT_NE(store.UserMeta(1), nullptr);
   EXPECT_TRUE(store.UserMeta(1)->empty());
 }
 
 TEST(AttentionStoreTest, ResetStatsClearsCounters) {
   AttentionStore store(SmallConfig());
-  ASSERT_TRUE(store.Put(1, MiB(4), 10, {}, 0, kNoHints).ok());
+  ASSERT_TRUE(store.Put(1, MiB(4), 10, 0, kNoHints).ok());
   (void)store.Access(1, 1);
   store.ResetStats();
   EXPECT_EQ(store.stats().lookups, 0ULL);
@@ -455,7 +478,7 @@ TEST_P(StoreAccountingProperty, UsedBytesInvariant) {
       case 0:
       case 1: {
         const std::uint64_t bytes = MiB(1) + rng.NextBounded(MiB(9));
-        (void)store.Put(s, bytes, bytes / 1000, {}, now, kNoHints);
+        (void)store.Put(s, bytes, bytes / 1000, now, kNoHints);
         break;
       }
       case 2:

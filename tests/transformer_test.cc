@@ -133,8 +133,8 @@ TEST(TransformerTest, ThreadedForwardBitwiseMatchesSerial) {
     EXPECT_EQ(std::memcmp(sl.data(), tl.data(), sl.numel() * sizeof(float)), 0)
         << "prefill logits diverge, mode " << static_cast<int>(mode);
 
-    const auto sbytes = scache.Serialize();
-    const auto tbytes = tcache.Serialize();
+    const auto sbytes = scache.SerializeTokenMajor();
+    const auto tbytes = tcache.SerializeTokenMajor();
     EXPECT_EQ(sbytes, tbytes) << "cache contents diverge, mode " << static_cast<int>(mode);
 
     const TokenId tok[] = {3};
