@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/mutex.h"
@@ -89,6 +91,9 @@ void BM_TransformerPrefill(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerPrefill)->Arg(16)->Arg(64)->Arg(128);
 
+// A steady-state decode step: the prompt's Forward left rotated K rows in
+// `cache` and Clone copies them, so each timed step rotates only its own
+// new row. BM_TransformerTurn below times a turn on a freshly loaded cache.
 void BM_TransformerDecodeStep(benchmark::State& state) {
   const auto prompt = BenchTokens(static_cast<std::size_t>(state.range(0)));
   KvCache cache = BenchModel().MakeCache(PeMode::kDecoupled);
@@ -103,6 +108,39 @@ void BM_TransformerDecodeStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TransformerDecodeStep)->Arg(64)->Arg(192);
+
+// One served turn, servebench's shape: `history` tokens already cached, a
+// 48-token prefill, then 24 greedy decode steps. Each iteration rebuilds the
+// cache from its wire bytes (untimed), as the engine loads a saved session,
+// so the turn starts without rotated K rows.
+void BM_TransformerTurn(benchmark::State& state) {
+  constexpr std::size_t kPrefill = 48;
+  constexpr std::size_t kDecode = 24;
+  const Transformer& model = BenchModel();
+  const auto history = static_cast<std::size_t>(state.range(0));
+  const auto tokens = BenchTokens(history + kPrefill);
+  KvCache warm = model.MakeCache(PeMode::kDecoupled);
+  if (history > 0) {
+    (void)model.Forward(std::span(tokens).first(history), warm);
+  }
+  const std::vector<std::uint8_t> wire = warm.SerializeTokenMajor();
+  const auto prompt = std::span(tokens).subspan(history, kPrefill);
+  for (auto _ : state) {
+    state.PauseTiming();
+    KvCache::TokenMajorDeserializer loader(model.config(), PeMode::kDecoupled, history);
+    loader.Consume(wire);
+    KvCache cache = *loader.Finish();
+    state.ResumeTiming();
+    Tensor logits = model.Forward(prompt, cache);
+    for (std::size_t step = 0; step < kDecode; ++step) {
+      const TokenId next[] = {model.Argmax(logits, logits.dim(0) - 1)};
+      logits = model.Forward(next, cache);
+    }
+    benchmark::DoNotOptimize(logits.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kPrefill + kDecode));
+}
+BENCHMARK(BM_TransformerTurn)->Arg(0)->Arg(96)->Arg(184);
 
 void BM_TransformerPrefillThreads(benchmark::State& state) {
   const auto& model = BenchModelThreads(4);

@@ -8,7 +8,11 @@
 namespace ca {
 
 KvCache::KvCache(const ModelConfig& config, PeMode pe_mode)
-    : pe_mode_(pe_mode), kv_dim_(config.kv_dim()), k_(config.n_layers), v_(config.n_layers) {
+    : pe_mode_(pe_mode),
+      kv_dim_(config.kv_dim()),
+      k_(config.n_layers),
+      v_(config.n_layers),
+      k_rot_(config.n_layers) {
   config.Validate();
 }
 
@@ -56,6 +60,9 @@ void KvCache::Reserve(std::size_t total_tokens) {
     if (v_[layer].capacity() < floats) {
       v_[layer].reserve(floats);
     }
+    if (pe_mode_ == PeMode::kDecoupled && k_rot_[layer].capacity() < floats) {
+      k_rot_[layer].reserve(floats);
+    }
   }
 }
 
@@ -67,6 +74,22 @@ std::span<const float> KvCache::LayerK(std::size_t layer) const {
 std::span<const float> KvCache::LayerV(std::size_t layer) const {
   CA_CHECK_LT(layer, v_.size());
   return {v_[layer].data(), v_[layer].size()};
+}
+
+std::span<const float> KvCache::RotatedK(std::size_t layer, const RopeTable& rope) {
+  CA_CHECK(pe_mode_ == PeMode::kDecoupled) << "coupled caches hold rotated K already";
+  CA_CHECK_LT(layer, k_.size());
+  const std::vector<float>& raw = k_[layer];
+  std::vector<float>& rot = k_rot_[layer];
+  // Rows [0, done) were rotated at their current positions by an earlier
+  // call; appends since then leave them valid.
+  CA_CHECK_LE(rot.size(), raw.size());
+  const std::size_t done = rot.size() / kv_dim_;
+  rot.insert(rot.end(), raw.begin() + static_cast<std::ptrdiff_t>(rot.size()), raw.end());
+  for (std::size_t t = done; t < layer_len(layer); ++t) {
+    rope.ApplyAllHeads({rot.data() + t * kv_dim_, kv_dim_}, t);
+  }
+  return {rot.data(), rot.size()};
 }
 
 std::span<const float> KvCache::K(std::size_t layer, std::size_t token) const {
@@ -81,13 +104,14 @@ std::span<const float> KvCache::V(std::size_t layer, std::size_t token) const {
   return {v_[layer].data() + token * kv_dim_, kv_dim_};
 }
 
-std::span<float> KvCache::MutableK(std::size_t layer, std::size_t token) {
-  CA_CHECK_LT(layer, k_.size());
-  CA_CHECK_LT(token, layer_len(layer));
-  return {k_[layer].data() + token * kv_dim_, kv_dim_};
+void KvCache::DropRotated() {
+  for (auto& layer : k_rot_) {
+    layer.clear();
+  }
 }
 
 void KvCache::TruncateFront(std::size_t n_tokens) {
+  DropRotated();
   for (std::size_t layer = 0; layer < k_.size(); ++layer) {
     const std::size_t len = layer_len(layer);
     const std::size_t drop = std::min(n_tokens, len);
@@ -102,6 +126,7 @@ void KvCache::DiscardTokens(std::span<const std::size_t> discard) {
   if (discard.empty()) {
     return;
   }
+  DropRotated();
   const std::size_t len = seq_len();
   std::vector<bool> keep(len, true);
   for (const std::size_t idx : discard) {
@@ -136,6 +161,7 @@ void KvCache::Clear() {
   for (auto& layer : v_) {
     layer.clear();
   }
+  DropRotated();
 }
 
 std::uint64_t KvCache::byte_size() const {

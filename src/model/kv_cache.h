@@ -3,8 +3,9 @@
 // Layout: per transformer layer, two contiguous fp32 arrays K and V of shape
 // [seq_len, kv_dim]. The positional-encoding mode decides what K rows hold:
 //  * PeMode::kDecoupled (CachedAttention) — K is stored pre-RoPE. Positions
-//    are re-embedded by the attention kernel at load time, so TruncateFront
-//    keeps the cache valid (§3.4).
+//    are re-embedded at load time, so TruncateFront keeps the cache valid
+//    (§3.4). The re-embedded rows live in a per-layer rotated copy beside
+//    K (RotatedK), built once per row and never part of the wire form.
 //  * PeMode::kCoupled (conventional) — K is stored post-RoPE at the position
 //    each token had when it was computed. TruncateFront on such a cache
 //    produces the paper's NKVT corruption.
@@ -22,6 +23,7 @@
 
 #include "src/common/status.h"
 #include "src/model/config.h"
+#include "src/model/rope.h"
 
 namespace ca {
 
@@ -44,23 +46,31 @@ class KvCache {
   // Appends one token's K and V rows (each kv_dim floats) to `layer`.
   void Append(std::size_t layer, std::span<const float> k, std::span<const float> v);
 
-  // Pre-sizes every layer's storage for `total_tokens` tokens (no-op if
-  // already that large). Called by the forward pass with history + new so a
-  // prefill appends into storage grown once up front instead of paying
-  // vector regrowth copies mid-pass; also keeps LayerK/LayerV spans stable
-  // across the Appends of one forward.
+  // Pre-sizes every layer's storage (and, decoupled, its rotated copy) for
+  // `total_tokens` tokens (no-op if already that large). Called by the
+  // forward pass with history + new so a prefill appends into storage grown
+  // once up front instead of paying vector regrowth copies mid-pass; also
+  // keeps LayerK/LayerV spans stable across the Appends of one forward.
   void Reserve(std::size_t total_tokens);
 
   // Row accessors.
   std::span<const float> K(std::size_t layer, std::size_t token) const;
   std::span<const float> V(std::size_t layer, std::size_t token) const;
-  std::span<float> MutableK(std::size_t layer, std::size_t token);
 
   // Whole-layer accessors for the attention hot loop: token t's row occupies
   // [t * kv_dim(), (t + 1) * kv_dim()). Bounds-checked once per layer
   // instead of once per (token, head) like K()/V().
   std::span<const float> LayerK(std::size_t layer) const;
   std::span<const float> LayerV(std::size_t layer) const;
+
+  // Decoupled mode only: LayerK(layer) with every row rotated by `rope` to
+  // its current index (§3.4's re-embedding), laid out like LayerK. Rotates
+  // just the rows appended since the previous call; TruncateFront,
+  // DiscardTokens and Clear shift positions and so drop the copy. A cache
+  // must always be rotated with the same table. The copy is not cache
+  // content: byte_size() and the wire form leave it out, and a
+  // deserialized cache starts without one.
+  std::span<const float> RotatedK(std::size_t layer, const RopeTable& rope);
 
   // Drops the oldest `n_tokens` tokens from every layer. With kDecoupled
   // this is the paper's KV cache truncation; with kCoupled it deliberately
@@ -78,6 +88,7 @@ class KvCache {
   // fp32 byte footprint of the cached tensors (equals the wire size).
   std::uint64_t byte_size() const;
 
+  // Deep copy, rotated rows included.
   KvCache Clone() const;
 
   // --- wire form (DESIGN.md §14, §17) ----------------------------------
@@ -161,11 +172,17 @@ class KvCache {
   };
 
  private:
+  // Drops every layer's rotated copy (positions shifted).
+  void DropRotated();
+
   PeMode pe_mode_;
   std::size_t kv_dim_;
   // Indexed [layer]; each holds layer_len * kv_dim floats.
   std::vector<std::vector<float>> k_;
   std::vector<std::vector<float>> v_;
+  // Indexed [layer]; RotatedK's copy of the first rows of k_[layer]
+  // (decoupled mode only; always empty when coupled).
+  std::vector<std::vector<float>> k_rot_;
 };
 
 }  // namespace ca

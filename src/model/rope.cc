@@ -6,25 +6,42 @@
 
 namespace ca {
 
-RopeTable::RopeTable(std::size_t head_dim, float theta) : head_dim_(head_dim) {
+RopeTable::RopeTable(std::size_t head_dim, float theta, std::size_t max_positions)
+    : head_dim_(head_dim), max_positions_(max_positions) {
   CA_CHECK_EQ(head_dim % 2, 0U);
-  inv_freq_.resize(head_dim / 2);
-  for (std::size_t i = 0; i < inv_freq_.size(); ++i) {
-    inv_freq_[i] = std::pow(theta, -2.0f * static_cast<float>(i) / static_cast<float>(head_dim));
+  std::vector<float> inv_freq(head_dim / 2);
+  for (std::size_t i = 0; i < inv_freq.size(); ++i) {
+    inv_freq[i] = std::pow(theta, -2.0f * static_cast<float>(i) / static_cast<float>(head_dim));
   }
+  // The per-call angle expression of a table-less RoPE, evaluated once per
+  // entry: a table lookup returns the very floats that call would compute.
+  cos_sin_.resize(max_positions * head_dim);
+  for (std::size_t pos = 0; pos < max_positions; ++pos) {
+    const auto p = static_cast<float>(pos);
+    float* row = cos_sin_.data() + pos * head_dim;
+    for (std::size_t i = 0; i < inv_freq.size(); ++i) {
+      const float angle = p * inv_freq[i];
+      row[2 * i] = std::cos(angle);
+      row[2 * i + 1] = std::sin(angle);
+    }
+  }
+}
+
+const float* RopeTable::Row(std::size_t pos) const {
+  CA_CHECK_LT(pos, max_positions_) << "RoPE position past the table";
+  return cos_sin_.data() + pos * head_dim_;
 }
 
 void RopeTable::Apply(std::span<float> vec, std::size_t pos) const {
   CA_CHECK_EQ(vec.size(), head_dim_);
-  const auto p = static_cast<float>(pos);
-  for (std::size_t i = 0; i < inv_freq_.size(); ++i) {
-    const float angle = p * inv_freq_[i];
-    const float c = std::cos(angle);
-    const float s = std::sin(angle);
-    const float x = vec[2 * i];
-    const float y = vec[2 * i + 1];
-    vec[2 * i] = x * c - y * s;
-    vec[2 * i + 1] = x * s + y * c;
+  const float* cs = Row(pos);
+  for (std::size_t i = 0; i < head_dim_; i += 2) {
+    const float c = cs[i];
+    const float s = cs[i + 1];
+    const float x = vec[i];
+    const float y = vec[i + 1];
+    vec[i] = x * c - y * s;
+    vec[i + 1] = x * s + y * c;
   }
 }
 
@@ -37,15 +54,14 @@ void RopeTable::ApplyAllHeads(std::span<float> packed, std::size_t pos) const {
 
 void RopeTable::ApplyInverse(std::span<float> vec, std::size_t pos) const {
   CA_CHECK_EQ(vec.size(), head_dim_);
-  const auto p = static_cast<float>(pos);
-  for (std::size_t i = 0; i < inv_freq_.size(); ++i) {
-    const float angle = p * inv_freq_[i];
-    const float c = std::cos(angle);
-    const float s = std::sin(angle);
-    const float x = vec[2 * i];
-    const float y = vec[2 * i + 1];
-    vec[2 * i] = x * c + y * s;
-    vec[2 * i + 1] = -x * s + y * c;
+  const float* cs = Row(pos);
+  for (std::size_t i = 0; i < head_dim_; i += 2) {
+    const float c = cs[i];
+    const float s = cs[i + 1];
+    const float x = vec[i];
+    const float y = vec[i + 1];
+    vec[i] = x * c + y * s;
+    vec[i + 1] = -x * s + y * c;
   }
 }
 

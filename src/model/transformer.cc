@@ -33,7 +33,8 @@ std::vector<float>& ThreadScores(std::size_t total) {
 }  // namespace
 
 Transformer::Transformer(ModelConfig config, std::uint64_t seed)
-    : config_(std::move(config)), rope_(config_.head_dim(), config_.rope_theta) {
+    : config_(std::move(config)),
+      rope_(config_.head_dim(), config_.rope_theta, config_.context_window) {
   config_.Validate();
   Rng rng(seed);
   const auto d = config_.d_model;
@@ -100,28 +101,14 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
   }
 
   // K rows the attention dot products read, position-encoded:
-  //  * coupled — the cache already holds post-RoPE K; read it in place (no
-  //    per-step copy of the whole history);
-  //  * decoupled — re-embed position = current index into a reused scratch
-  //    buffer. This is the §3.4 re-embedding step that makes truncated
-  //    caches valid; it must materialise because the cached rows stay raw.
+  //  * coupled — the cache already holds post-RoPE K; read it in place;
+  //  * decoupled — the cache's rotated copy of its raw rows, each re-embedded
+  //    at its current index (§3.4's step that keeps truncated caches valid).
+  //    Only the rows appended since the previous pass get rotated, so a
+  //    decode step rotates one row instead of the whole history.
   const std::size_t total = history_len + n;
-  const float* k_src;
-  if (cache.pe_mode() == PeMode::kCoupled) {
-    k_src = cache.LayerK(layer).data();
-  } else {
-    Tensor k_eff = scratch.Alloc2d(total, kv_dim);
-    const float* k_raw = cache.LayerK(layer).data();
-    ParallelFor(pool(), 0, total, /*grain=*/32,
-                [&](std::size_t row_begin, std::size_t row_end) {
-                  for (std::size_t t = row_begin; t < row_end; ++t) {
-                    float* row = k_eff.row(t);
-                    std::memcpy(row, k_raw + t * kv_dim, kv_dim * sizeof(float));
-                    rope_.ApplyAllHeads({row, kv_dim}, t);
-                  }
-                });
-    k_src = k_eff.data();
-  }
+  const float* k_src = cache.pe_mode() == PeMode::kCoupled ? cache.LayerK(layer).data()
+                                                            : cache.RotatedK(layer, rope_).data();
 
   // Rotate Q at its absolute position (both modes).
   for (std::size_t t = 0; t < n; ++t) {
@@ -129,11 +116,11 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
   }
 
   // Per-head causal attention, parallel over (query, head) work items.
-  // Every item owns its attn_out slice and reduces over the context in a
-  // fixed j order, so any thread count is bitwise-identical to serial. With
-  // an observer attached the loop stays serial: observers see distributions
-  // in the documented (query-major, head-minor) order and may accumulate
-  // floats, where ordering matters.
+  // Every item owns its attn_out slice and AttendHead reduces over the
+  // context in a fixed order, so any thread count is bitwise-identical to
+  // serial. With an observer attached the loop stays serial: observers see
+  // distributions in the documented (query-major, head-minor) order and may
+  // accumulate floats, where ordering matters.
   Tensor attn_out = scratch.Alloc2d(n, config_.q_dim());
   const float* v_base = cache.LayerV(layer).data();
   ThreadPool* attn_pool = observer == nullptr ? pool() : nullptr;
@@ -145,19 +132,11 @@ void Transformer::AttentionBlock(std::size_t layer, Tensor& x, KvCache& cache,
                   const std::size_t h = item % n_heads;
                   const std::size_t ctx = history_len + t + 1;  // causal horizon
                   const std::size_t kv_off = (h / group) * head_dim;
-                  const float* qh = q.row(t) + h * head_dim;
-                  for (std::size_t j = 0; j < ctx; ++j) {
-                    scores[j] = DotUnchecked(qh, k_src + j * kv_dim + kv_off, head_dim) *
-                                inv_sqrt_d;
-                  }
-                  SoftmaxRow({scores.data(), ctx});
+                  AttendHead(q.row(t) + h * head_dim, k_src + kv_off, v_base + kv_off, kv_dim,
+                             head_dim, ctx, inv_sqrt_d, scores.data(),
+                             attn_out.row(t) + h * head_dim);
                   if (observer != nullptr) {
                     observer->OnAttention(layer, h, history_len + t, {scores.data(), ctx});
-                  }
-                  float* oh = attn_out.row(t) + h * head_dim;
-                  std::memset(oh, 0, head_dim * sizeof(float));
-                  for (std::size_t j = 0; j < ctx; ++j) {
-                    AxpyUnchecked(scores[j], v_base + j * kv_dim + kv_off, oh, head_dim);
                   }
                 }
               });

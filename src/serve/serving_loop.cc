@@ -59,6 +59,21 @@ JobId ServingLoop::Submit(ServeRequest request) {
   return id;
 }
 
+void ServingLoop::SubmitBehindRefreshForTesting(std::vector<ServeRequest> requests) {
+  {
+    MutexLock lock(mutex_);
+    CA_CHECK(accepting_) << "Submit after Shutdown";
+    for (ServeRequest& request : requests) {
+      CA_CHECK(!request.input.empty()) << "empty turn input";
+      EnqueueLocked(std::move(request));
+    }
+    // A pass in flight may have taken its snapshot before these jobs were
+    // queued; the pass after it cannot have.
+    admit_after_pass_ = refresh_passes_done_ + 2;
+  }
+  work_available_.NotifyAll();
+}
+
 std::optional<JobId> ServingLoop::TrySubmit(ServeRequest request) {
   if (request.input.empty()) {
     rejected_counter_->Add();
@@ -93,6 +108,9 @@ void ServingLoop::WorkerLoop(std::size_t worker_index) {
         mutex_.AssertHeld();
         if (stopping_ && queue_.empty()) {
           return true;
+        }
+        if (refresh_passes_done_ < admit_after_pass_) {
+          return false;  // held behind a refresh pass (test hook)
         }
         return queue_.HasRunnable([this](const Job& j) {
           mutex_.AssertHeld();
@@ -199,6 +217,14 @@ void ServingLoop::RefreshLoop() {
       if (options_.prefetch) {
         promoted = engine_->PrefetchSessions(window);
       }
+    }
+    bool release;
+    {
+      MutexLock lock(mutex_);
+      release = ++refresh_passes_done_ == admit_after_pass_;
+    }
+    if (release) {
+      work_available_.NotifyAll();
     }
     if (promoted == 0) {
       // Nothing promoted (or nothing queued): idle-pace the loop.

@@ -113,6 +113,13 @@ class ServingLoop {
   // destructor. Not thread-safe against itself.
   void Shutdown() CA_EXCLUDES(mutex_);
 
+  // Test hook for deterministic prefetch tests: enqueues `requests` in one
+  // step and holds every worker out of admission until the refresh thread
+  // has completed a pass whose window snapshot saw them all. That pass's
+  // hint publication and promotions then run ahead of the workers however
+  // the threads are scheduled.
+  void SubmitBehindRefreshForTesting(std::vector<ServeRequest> requests) CA_EXCLUDES(mutex_);
+
   // Completed turns in JobId (= submission) order; clears the internal
   // buffer. Call at a quiescent point (after WaitIdle or Shutdown) to see
   // every accepted job exactly once.
@@ -147,6 +154,10 @@ class ServingLoop {
   std::uint64_t completed_ CA_GUARDED_BY(mutex_) = 0;
   bool accepting_ CA_GUARDED_BY(mutex_) = true;
   bool stopping_ CA_GUARDED_BY(mutex_) = false;
+  // Refresh passes completed, and the pass workers wait for before
+  // admitting (SubmitBehindRefreshForTesting; 0: no hold).
+  std::uint64_t refresh_passes_done_ CA_GUARDED_BY(mutex_) = 0;
+  std::uint64_t admit_after_pass_ CA_GUARDED_BY(mutex_) = 0;
 
   std::atomic<bool> refresh_stop_{false};
   bool joined_ = false;  // unguarded: Shutdown idempotence, main thread only

@@ -19,6 +19,12 @@
 #include <immintrin.h>
 #endif
 
+// The attention kernel's SIMD path needs only SSE2, which every x86-64 CPU
+// has: no runtime dispatch, and no FMA for the compiler to contract into.
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 namespace ca {
 
 namespace {
@@ -211,6 +217,79 @@ RowKernel PickMatMulTransposedBRowKernel() {
   return &MatMulTransposedBRow;
 }
 
+#ifdef __SSE2__
+
+// AttendHead's scores, 4 keys per step (head_dim % 4 == 0). Each key gets a
+// 4-lane accumulator whose lane m is DotUnchecked's acc m: the same
+// products, added in the same order. A 4x4 transpose then lines the keys up
+// across lanes, so one vertical (acc0 + acc1) + (acc2 + acc3) reduces all
+// four exactly as DotUnchecked reduces one.
+void AttentionScoresSse2(const float* q, const float* k, std::size_t stride,
+                         std::size_t head_dim, std::size_t ctx, float scale, float* probs) {
+  const __m128 vscale = _mm_set1_ps(scale);
+  std::size_t j = 0;
+  for (; j + 4 <= ctx; j += 4) {
+    const float* k0 = k + j * stride;
+    const float* k1 = k0 + stride;
+    const float* k2 = k1 + stride;
+    const float* k3 = k2 + stride;
+    __m128 acc0 = _mm_setzero_ps();
+    __m128 acc1 = _mm_setzero_ps();
+    __m128 acc2 = _mm_setzero_ps();
+    __m128 acc3 = _mm_setzero_ps();
+    for (std::size_t i = 0; i < head_dim; i += 4) {
+      const __m128 qv = _mm_loadu_ps(q + i);
+      acc0 = _mm_add_ps(acc0, _mm_mul_ps(qv, _mm_loadu_ps(k0 + i)));
+      acc1 = _mm_add_ps(acc1, _mm_mul_ps(qv, _mm_loadu_ps(k1 + i)));
+      acc2 = _mm_add_ps(acc2, _mm_mul_ps(qv, _mm_loadu_ps(k2 + i)));
+      acc3 = _mm_add_ps(acc3, _mm_mul_ps(qv, _mm_loadu_ps(k3 + i)));
+    }
+    _MM_TRANSPOSE4_PS(acc0, acc1, acc2, acc3);  // accN lane m: key m's acc N
+    const __m128 dots = _mm_add_ps(_mm_add_ps(acc0, acc1), _mm_add_ps(acc2, acc3));
+    _mm_storeu_ps(probs + j, _mm_mul_ps(dots, vscale));
+  }
+  for (; j < ctx; ++j) {
+    probs[j] = DotUnchecked(q, k + j * stride, head_dim) * scale;
+  }
+}
+
+// AttendHead's output (head_dim % 4 == 0): 16 (then 4) output floats stay
+// in registers across the key loop. Every element still sees
+// 0 + p_0 v_0 + p_1 v_1 + ... in key order, one multiply and one add per
+// term, exactly as the AxpyUnchecked loop computes it.
+void AttentionValuesSse2(const float* probs, const float* v, std::size_t stride,
+                         std::size_t head_dim, std::size_t ctx, float* out) {
+  std::size_t i = 0;
+  for (; i + 16 <= head_dim; i += 16) {
+    __m128 o0 = _mm_setzero_ps();
+    __m128 o1 = _mm_setzero_ps();
+    __m128 o2 = _mm_setzero_ps();
+    __m128 o3 = _mm_setzero_ps();
+    const float* vj = v + i;
+    for (std::size_t j = 0; j < ctx; ++j, vj += stride) {
+      const __m128 p = _mm_set1_ps(probs[j]);
+      o0 = _mm_add_ps(o0, _mm_mul_ps(p, _mm_loadu_ps(vj)));
+      o1 = _mm_add_ps(o1, _mm_mul_ps(p, _mm_loadu_ps(vj + 4)));
+      o2 = _mm_add_ps(o2, _mm_mul_ps(p, _mm_loadu_ps(vj + 8)));
+      o3 = _mm_add_ps(o3, _mm_mul_ps(p, _mm_loadu_ps(vj + 12)));
+    }
+    _mm_storeu_ps(out + i, o0);
+    _mm_storeu_ps(out + i + 4, o1);
+    _mm_storeu_ps(out + i + 8, o2);
+    _mm_storeu_ps(out + i + 12, o3);
+  }
+  for (; i < head_dim; i += 4) {
+    __m128 o = _mm_setzero_ps();
+    const float* vj = v + i;
+    for (std::size_t j = 0; j < ctx; ++j, vj += stride) {
+      o = _mm_add_ps(o, _mm_mul_ps(_mm_set1_ps(probs[j]), _mm_loadu_ps(vj)));
+    }
+    _mm_storeu_ps(out + i, o);
+  }
+}
+
+#endif  // __SSE2__
+
 }  // namespace
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor& out, ThreadPool* pool) {
@@ -330,6 +409,28 @@ void MulInPlace(Tensor& a, const Tensor& b) {
   const float* pb = b.data();
   for (std::size_t i = 0; i < a.numel(); ++i) {
     pa[i] *= pb[i];
+  }
+}
+
+void AttendHead(const float* q, const float* k, const float* v, std::size_t stride,
+                std::size_t head_dim, std::size_t ctx, float scale, float* probs, float* out) {
+#ifdef __SSE2__
+  if (head_dim % 4 == 0) {
+    AttentionScoresSse2(q, k, stride, head_dim, ctx, scale, probs);
+    SoftmaxRow({probs, ctx});
+    AttentionValuesSse2(probs, v, stride, head_dim, ctx, out);
+    return;
+  }
+#endif
+  // The definition itself: the fallback without SSE2 or for a head_dim
+  // that is not a multiple of 4.
+  for (std::size_t j = 0; j < ctx; ++j) {
+    probs[j] = DotUnchecked(q, k + j * stride, head_dim) * scale;
+  }
+  SoftmaxRow({probs, ctx});
+  std::memset(out, 0, head_dim * sizeof(float));
+  for (std::size_t j = 0; j < ctx; ++j) {
+    AxpyUnchecked(probs[j], v + j * stride, out, head_dim);
   }
 }
 

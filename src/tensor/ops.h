@@ -83,6 +83,18 @@ inline void AxpyUnchecked(float alpha, const float* x, float* y, std::size_t n) 
   }
 }
 
+// One query head's causal attention over `ctx` cached positions, the
+// per-(query, head) work item of the forward pass. Key j's row starts at
+// k + j * stride, value j's at v + j * stride. Defined as
+//   probs[j] = DotUnchecked(q, key j, head_dim) * scale   for j < ctx
+//   SoftmaxRow(probs[0, ctx))
+//   out = 0; AxpyUnchecked(probs[j], value j, out, head_dim) for j < ctx
+// and bitwise-identical to that definition on every path (DESIGN.md §9).
+// `probs` (ctx floats) receives the attention distribution, `out`
+// (head_dim floats) the head's output.
+void AttendHead(const float* q, const float* k, const float* v, std::size_t stride,
+                std::size_t head_dim, std::size_t ctx, float scale, float* probs, float* out);
+
 // Dot product of two length-n float spans.
 float Dot(std::span<const float> a, std::span<const float> b);
 

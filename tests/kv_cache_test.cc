@@ -9,6 +9,7 @@
 #include "src/common/rng.h"
 #include "src/model/config.h"
 #include "src/model/kv_cache.h"
+#include "src/model/rope.h"
 
 namespace ca {
 namespace {
@@ -147,11 +148,37 @@ TEST(KvCacheTest, CloneIsDeep) {
   EXPECT_EQ(copy.seq_len(), 1U);
 }
 
-TEST(KvCacheTest, MutableKWritesThrough) {
-  KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
-  FillCache(cache, 1);
-  cache.MutableK(0, 0)[0] = -5.0f;
-  EXPECT_EQ(cache.K(0, 0)[0], -5.0f);
+// The rotated copy holds every row of LayerK rotated to its current index,
+// however the rows arrived, and stays out of the byte count.
+TEST(KvCacheTest, RotatedKTracksCurrentPositions) {
+  const ModelConfig config = ModelConfig::Mini();
+  const RopeTable rope(config.head_dim(), config.rope_theta, config.context_window);
+  KvCache cache(config, PeMode::kDecoupled);
+  const auto expect_rotated = [&](const char* phase) {
+    for (std::size_t layer = 0; layer < cache.n_layers(); ++layer) {
+      const auto rotated = cache.RotatedK(layer, rope);
+      ASSERT_EQ(rotated.size(), cache.LayerK(layer).size()) << phase;
+      for (std::size_t t = 0; t < cache.seq_len(); ++t) {
+        std::vector<float> row(cache.K(layer, t).begin(), cache.K(layer, t).end());
+        rope.ApplyAllHeads(row, t);
+        ASSERT_TRUE(std::equal(row.begin(), row.end(), rotated.begin() + t * cache.kv_dim()))
+            << phase << ": layer " << layer << " token " << t;
+      }
+    }
+    EXPECT_EQ(cache.byte_size(), cache.seq_len() * config.kv_bytes_per_token()) << phase;
+  };
+  FillCache(cache, 3);
+  expect_rotated("first rows");
+  FillCache(cache, 6);
+  expect_rotated("appended rows");
+  cache.TruncateFront(2);
+  expect_rotated("after TruncateFront");
+  const std::vector<std::size_t> discard = {1};
+  cache.DiscardTokens(discard);
+  expect_rotated("after DiscardTokens");
+  cache.Clear();
+  FillCache(cache, 2);
+  expect_rotated("after Clear");
 }
 
 // --- wire form (DESIGN.md §14, §17) ---------------------------------------
@@ -429,6 +456,14 @@ TEST(KvCacheDeathTest, WrongRowSizeAborts) {
   KvCache cache(ModelConfig::Mini(), PeMode::kDecoupled);
   const std::vector<float> bad(3, 0.0f);
   EXPECT_DEATH(cache.Append(0, bad, bad), "CA_CHECK failed");
+}
+
+TEST(KvCacheDeathTest, RotatedKOfCoupledCacheAborts) {
+  const ModelConfig config = ModelConfig::Mini();
+  const RopeTable rope(config.head_dim(), config.rope_theta, config.context_window);
+  KvCache cache(config, PeMode::kCoupled);
+  FillCache(cache, 1);
+  EXPECT_DEATH((void)cache.RotatedK(0, rope), "coupled caches hold rotated K already");
 }
 
 TEST(KvCacheDeathTest, OutOfRangeTokenAborts) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -29,7 +31,7 @@ float Norm(const std::vector<float>& v) {
 }
 
 TEST(RopeTest, PositionZeroIsIdentity) {
-  RopeTable rope(8, 10000.0f);
+  RopeTable rope(8, 10000.0f, /*max_positions=*/1);
   std::vector<float> v = RandomVec(8, 1);
   const std::vector<float> orig = v;
   rope.Apply(v, 0);
@@ -39,7 +41,7 @@ TEST(RopeTest, PositionZeroIsIdentity) {
 }
 
 TEST(RopeTest, PreservesNorm) {
-  RopeTable rope(16, 10000.0f);
+  RopeTable rope(16, 10000.0f, /*max_positions=*/4097);
   for (std::size_t pos : {1UL, 7UL, 100UL, 4096UL}) {
     std::vector<float> v = RandomVec(16, pos);
     const float before = Norm(v);
@@ -49,7 +51,7 @@ TEST(RopeTest, PreservesNorm) {
 }
 
 TEST(RopeTest, InverseUndoesApply) {
-  RopeTable rope(32, 10000.0f);
+  RopeTable rope(32, 10000.0f, /*max_positions=*/124);
   std::vector<float> v = RandomVec(32, 3);
   const std::vector<float> orig = v;
   rope.Apply(v, 123);
@@ -63,7 +65,7 @@ TEST(RopeTest, InverseUndoesApply) {
 // This is what makes position re-embedding after truncation sound: shifting
 // all positions by the same offset leaves attention scores unchanged.
 TEST(RopeTest, ScoreDependsOnlyOnRelativePosition) {
-  RopeTable rope(16, 10000.0f);
+  RopeTable rope(16, 10000.0f, /*max_positions=*/2054);
   const std::vector<float> q0 = RandomVec(16, 10);
   const std::vector<float> k0 = RandomVec(16, 11);
 
@@ -88,7 +90,7 @@ TEST(RopeTest, ScoreDependsOnlyOnRelativePosition) {
 }
 
 TEST(RopeTest, ApplyAllHeadsRotatesEachHead) {
-  RopeTable rope(4, 10000.0f);
+  RopeTable rope(4, 10000.0f, /*max_positions=*/10);
   std::vector<float> packed = RandomVec(12, 21);  // 3 heads x dim 4
   std::vector<float> head0(packed.begin(), packed.begin() + 4);
   std::vector<float> head2(packed.begin() + 8, packed.end());
@@ -102,7 +104,66 @@ TEST(RopeTest, ApplyAllHeadsRotatesEachHead) {
 }
 
 TEST(RopeDeathTest, OddDimAborts) {
-  EXPECT_DEATH(RopeTable(7, 10000.0f), "CA_CHECK failed");
+  EXPECT_DEATH(RopeTable(7, 10000.0f, 1), "CA_CHECK failed");
+}
+
+TEST(RopeDeathTest, PositionPastTableAborts) {
+  const RopeTable rope(8, 10000.0f, /*max_positions=*/16);
+  std::vector<float> v = RandomVec(8, 5);
+  rope.Apply(v, 15);  // the last table row
+  EXPECT_DEATH(rope.Apply(v, 16), "RoPE position past the table");
+  EXPECT_DEATH(rope.ApplyInverse(v, 16), "RoPE position past the table");
+}
+
+// RoPE from its definition, with a fresh cos/sin per call: pair (2i, 2i+1)
+// turns by pos * theta^(-2i/head_dim), backwards when `inverse`.
+void RotateByFormula(std::vector<float>& v, std::size_t pos, float theta, bool inverse) {
+  // Read through a volatile so the compiler cannot fold pow/cos/sin at
+  // build time: its folding may round differently from the runtime libm.
+  const volatile float runtime_theta = theta;
+  const std::size_t head_dim = v.size();
+  for (std::size_t i = 0; i < head_dim / 2; ++i) {
+    const float inv_freq =
+        std::pow(runtime_theta, -2.0f * static_cast<float>(i) / static_cast<float>(head_dim));
+    const float angle = static_cast<float>(pos) * inv_freq;
+    const float c = std::cos(angle);
+    const float s = std::sin(angle);
+    const float x = v[2 * i];
+    const float y = v[2 * i + 1];
+    if (inverse) {
+      v[2 * i] = x * c + y * s;
+      v[2 * i + 1] = -x * s + y * c;
+    } else {
+      v[2 * i] = x * c - y * s;
+      v[2 * i + 1] = x * s + y * c;
+    }
+  }
+}
+
+// The table only caches the formula's cos/sin: at every table position,
+// Apply and ApplyInverse produce the formula's floats bit for bit.
+TEST(RopeTest, TableMatchesFormulaBitwise) {
+  for (const auto& [dim, theta, positions] :
+       {std::tuple<std::size_t, float, std::size_t>{16, 10000.0f, 256},
+        {4, 10000.0f, 128},
+        {32, 500000.0f, 512}}) {
+    const RopeTable rope(dim, theta, positions);
+    for (std::size_t pos = 0; pos < positions; ++pos) {
+      const std::vector<float> v0 = RandomVec(dim, pos);
+      std::vector<float> table = v0;
+      std::vector<float> formula = v0;
+      rope.Apply(table, pos);
+      RotateByFormula(formula, pos, theta, /*inverse=*/false);
+      ASSERT_EQ(std::memcmp(table.data(), formula.data(), dim * sizeof(float)), 0)
+          << "Apply, dim " << dim << " pos " << pos;
+      table = v0;
+      formula = v0;
+      rope.ApplyInverse(table, pos);
+      RotateByFormula(formula, pos, theta, /*inverse=*/true);
+      ASSERT_EQ(std::memcmp(table.data(), formula.data(), dim * sizeof(float)), 0)
+          << "ApplyInverse, dim " << dim << " pos " << pos;
+    }
+  }
 }
 
 // Parameterised sweep over head dims and thetas: norm preservation and
@@ -112,7 +173,7 @@ class RopeSweep : public ::testing::TestWithParam<std::tuple<std::size_t, float>
 
 TEST_P(RopeSweep, RelativeInvariance) {
   const auto [dim, theta] = GetParam();
-  RopeTable rope(dim, theta);
+  RopeTable rope(dim, theta, /*max_positions=*/118);
   const std::vector<float> q0 = RandomVec(dim, dim);
   const std::vector<float> k0 = RandomVec(dim, dim + 1);
   auto score = [&](std::size_t m, std::size_t n) {

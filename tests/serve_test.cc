@@ -215,11 +215,11 @@ TEST_F(ServeTest, FourWorkersMatchOneWorkerBitwiseWithPrefetch) {
       loop.Submit(workload[i]);
     }
     loop.WaitIdle();
-    // Wave 2: a deep queue of returning sessions — the refresh thread
-    // promotes the disk-resident ones ahead of the workers.
-    for (std::size_t i = kSessions; i < workload.size(); ++i) {
-      loop.Submit(workload[i]);
-    }
+    // Wave 2: a deep queue of returning sessions. The workers wait until
+    // the refresh thread has passed over the whole queue once, so it
+    // promotes the disk-resident ones ahead of them on every schedule.
+    loop.SubmitBehindRefreshForTesting(
+        std::vector<ServeRequest>(workload.begin() + kSessions, workload.end()));
     loop.Shutdown();
     if (store_stats != nullptr) {
       *store_stats = engine.store().stats();  // quiescent: loop is shut down

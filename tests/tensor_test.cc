@@ -276,6 +276,55 @@ INSTANTIATE_TEST_SUITE_P(OddShapes, ParallelMatMulShapes,
                                            std::make_tuple(13, 31, 17),  // prime everything
                                            std::make_tuple(64, 33, 66)));
 
+// --- Attention kernel: bitwise-identical to its definition ---------------
+//
+// AttendHead's SIMD path must reproduce the scalar definition bit for bit
+// (DESIGN.md §9): every key count around the 4-key step, head dims on the
+// SIMD path, and one (6) that takes the scalar fallback.
+
+// AttendHead as ops.h defines it, from the scalar primitives.
+void ReferenceAttendHead(const float* q, const float* k, const float* v, std::size_t stride,
+                         std::size_t head_dim, std::size_t ctx, float scale, float* probs,
+                         float* out) {
+  for (std::size_t j = 0; j < ctx; ++j) {
+    probs[j] = DotUnchecked(q, k + j * stride, head_dim) * scale;
+  }
+  SoftmaxRow({probs, ctx});
+  std::fill(out, out + head_dim, 0.0f);
+  for (std::size_t j = 0; j < ctx; ++j) {
+    AxpyUnchecked(probs[j], v + j * stride, out, head_dim);
+  }
+}
+
+class AttendHeadShapes : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
+};
+
+TEST_P(AttendHeadShapes, BitwiseMatchesDefinition) {
+  const auto [head_dim, ctx] = GetParam();
+  // Rows hold two heads plus padding, like a GQA cache row of kv_dim
+  // floats; the kernel reads the second head.
+  const std::size_t stride = 2 * head_dim + 4;
+  Rng rng(head_dim * 1000 + ctx);
+  const Tensor q = Tensor::Randn({head_dim}, rng);
+  const Tensor k = Tensor::Randn({ctx, stride}, rng, 2.0f);
+  const Tensor v = Tensor::Randn({ctx, stride}, rng);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  std::vector<float> probs(ctx);
+  std::vector<float> out(head_dim);
+  std::vector<float> ref_probs(ctx);
+  std::vector<float> ref_out(head_dim);
+  AttendHead(q.data(), k.data() + head_dim, v.data() + head_dim, stride, head_dim, ctx, scale,
+             probs.data(), out.data());
+  ReferenceAttendHead(q.data(), k.data() + head_dim, v.data() + head_dim, stride, head_dim, ctx,
+                      scale, ref_probs.data(), ref_out.data());
+  EXPECT_EQ(std::memcmp(probs.data(), ref_probs.data(), ctx * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(out.data(), ref_out.data(), head_dim * sizeof(float)), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(HeadDimsContexts, AttendHeadShapes,
+                         ::testing::Combine(::testing::Values(4UL, 6UL, 8UL, 16UL, 32UL),
+                                            ::testing::Values(1UL, 3UL, 4UL, 5UL, 17UL, 256UL)));
+
 // --- ScratchArena ---------------------------------------------------------
 
 TEST(ScratchArenaTest, Alloc2dShapesAndWritable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/model/sampler.h"
@@ -143,6 +144,45 @@ TEST(TransformerTest, ThreadedForwardBitwiseMatchesSerial) {
     EXPECT_EQ(std::memcmp(sd.data(), td.data(), sd.numel() * sizeof(float)), 0)
         << "decode-step logits diverge, mode " << static_cast<int>(mode);
   }
+}
+
+// A decoupled cache keeps its rotated K rows between passes (DESIGN.md §5).
+// After every step, including across the two operations that shift
+// positions, the live cache's logits must equal those of a twin rebuilt
+// from its wire bytes, which starts without rotated rows: a stale rotated
+// row fails this.
+TEST(TransformerTest, RotatedRowsNeverGoStale) {
+  const ModelConfig config = ModelConfig::Mini();
+  const Transformer model(config, 29);
+  const auto prompt = MakeTokens(40, 12, config.vocab_size);
+  const auto decode = MakeTokens(10, 13, config.vocab_size);
+  KvCache cache = model.MakeCache(PeMode::kDecoupled);
+  std::size_t next = 0;
+  const auto step = [&](std::span<const TokenId> tokens, const char* phase) {
+    KvCache::TokenMajorDeserializer loader(config, PeMode::kDecoupled, cache.seq_len());
+    loader.Consume(cache.SerializeTokenMajor());
+    Result<KvCache> twin = loader.Finish();
+    ASSERT_TRUE(twin.ok());
+    const Tensor live_logits = model.Forward(tokens, cache);
+    const Tensor twin_logits = model.Forward(tokens, *twin);
+    ASSERT_EQ(live_logits.numel(), twin_logits.numel());
+    EXPECT_EQ(std::memcmp(live_logits.data(), twin_logits.data(),
+                          live_logits.numel() * sizeof(float)),
+              0)
+        << phase << ", seq_len " << cache.seq_len();
+  };
+  const auto decode_steps = [&](std::size_t n, const char* phase) {
+    for (std::size_t i = 0; i < n; ++i, ++next) {
+      step(std::span(decode).subspan(next, 1), phase);
+    }
+  };
+  step(prompt, "prefill");
+  decode_steps(5, "decode");
+  cache.TruncateFront(17);
+  decode_steps(3, "decode after TruncateFront");
+  const std::vector<std::size_t> discard = {0, 5, 6, 20};
+  cache.DiscardTokens(discard);
+  decode_steps(2, "decode after DiscardTokens");
 }
 
 TEST(TransformerTest, GqaAndMhaConfigsRun) {
