@@ -409,6 +409,57 @@ void BM_PrefixLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixLookup)->Arg(1024)->Arg(8192);
 
+// Destination of BM_PrefixRead that only counts what it is handed.
+class CountingSink final : public ChunkedPayloadSink, private PayloadSink {
+ public:
+  PayloadSink& Open(std::uint64_t /*tokens*/) override { return *this; }
+  std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  void Reset() override { bytes_ = 0; }
+  void Consume(std::span<const std::uint8_t> chunk) override { bytes_ += chunk.size(); }
+
+  std::uint64_t bytes_ = 0;
+};
+
+// The store half of a first turn that opens on a warm shared prompt: the
+// chain walk of ReadPrefixInto plus the verified stream of every matched
+// chunk into a sink that only counts. bytes/sec counts the streamed chunk
+// bytes. Arg = prompt tokens (1 KiB of KV per token, 64-token chunks).
+void BM_PrefixRead(benchmark::State& state) {
+  StoreBenchSetup();
+  StoreConfig config;
+  config.dram_capacity = GiB(8);
+  config.disk_capacity = 0;
+  config.block_bytes = KiB(64);
+  config.real_payloads = true;
+  config.share_prefixes = true;
+  config.share_chunk_tokens = 64;
+  AttentionStore store(config);
+  const SchedulerHints hints;
+  const auto prompt_tokens = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t bytes_per_token = KiB(1);
+  // One token past the prompt keeps every prompt chunk shareable: the last
+  // token always stays in the session's own piece.
+  std::vector<std::uint32_t> tokens(prompt_tokens + 1);
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<std::uint32_t>(i * 2654435761u + 53u);
+  }
+  const std::vector<std::uint8_t> payload(tokens.size() * bytes_per_token, 0x5A);
+  SpanChunkSource warm(payload, bytes_per_token);
+  CA_CHECK(store.Put(1, warm, tokens, 1, hints).ok());
+  CountingSink sink;
+  SimTime now = 1;
+  for (auto _ : state) {
+    auto matched = store.ReadPrefixInto(tokens, sink, ++now);
+    benchmark::DoNotOptimize(matched);
+  }
+  CA_CHECK_EQ(sink.bytes(), prompt_tokens * bytes_per_token);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(prompt_tokens * bytes_per_token));
+}
+BENCHMARK(BM_PrefixRead)->Arg(512)->Arg(4096);
+
 // The checksum primitive itself: args are {bytes, use_avx2}. The AVX2 row
 // is skipped (reported as 0 iterations) on machines without the ISA.
 void BM_Checksum64(benchmark::State& state) {

@@ -179,6 +179,6 @@ int main(int argc, char** argv) {
   std::printf("\nlatency (all shards)\n");
   PrintHistogram(snapshot, "sched.queue_wait_seconds", "queue wait", 1e3, "ms");
   PrintHistogram(snapshot, "serve.turn_seconds", "turn latency", 1e3, "ms");
-  PrintHistogram(snapshot, "engine.prefill_seconds", "prefill (TTFT)", 1e3, "ms");
+  PrintHistogram(snapshot, "engine.prefill_seconds", "lookup+load+prefill", 1e3, "ms");
   return ok == submitted ? 0 : 1;
 }

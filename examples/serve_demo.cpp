@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
   std::printf("latency\n");
   PrintHistogram(snapshot, "sched.queue_wait_seconds", "queue wait", 1e3, "ms");
   PrintHistogram(snapshot, "serve.turn_seconds", "turn latency", 1e3, "ms");
-  PrintHistogram(snapshot, "engine.prefill_seconds", "prefill (TTFT)", 1e3, "ms");
+  PrintHistogram(snapshot, "engine.prefill_seconds", "lookup+load+prefill", 1e3, "ms");
 
   if (!trace_path.empty()) {
     const Status written = Tracer::Get().ExportChromeJsonToFile(trace_path);

@@ -53,17 +53,28 @@ class CacheChunkSource final : public ChunkedPayloadSource, private PayloadSourc
 };
 
 // Load side: the store streams tier bytes straight into the deserializer,
-// which parses into the final tensor storage.
-class TokenMajorSink final : public PayloadSink {
+// which parses into the final tensor storage. Open() sizes it: an
+// own-record load opens at the record's token count, a prefix read at the
+// count the store matched.
+class CacheChunkSink final : public ChunkedPayloadSink, private PayloadSink {
  public:
-  explicit TokenMajorSink(KvCache::TokenMajorDeserializer& deserializer)
-      : deserializer_(&deserializer) {}
+  CacheChunkSink(const ModelConfig& config, PeMode pe_mode) : config_(&config), pe_mode_(pe_mode) {}
 
+  PayloadSink& Open(std::uint64_t tokens) override {
+    deserializer_.emplace(*config_, pe_mode_, static_cast<std::size_t>(tokens));
+    return *this;
+  }
+  bool opened() const { return deserializer_.has_value(); }
+  Result<KvCache> Finish() { return deserializer_->Finish(); }
+
+ private:
+  // PayloadSink over the opened deserializer.
   void Reset() override { deserializer_->Reset(); }
   void Consume(std::span<const std::uint8_t> chunk) override { deserializer_->Consume(chunk); }
 
- private:
-  KvCache::TokenMajorDeserializer* deserializer_;
+  const ModelConfig* config_;
+  PeMode pe_mode_;
+  std::optional<KvCache::TokenMajorDeserializer> deserializer_;
 };
 
 // The history as the store's dedup tokens (TokenId bit patterns).
@@ -299,9 +310,49 @@ TierHealth CachedAttentionEngine::StoreTierHealth(Tier tier) const {
   return store_.tier_health(tier);
 }
 
-Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& state,
-                                           std::size_t incoming_tokens, KvCache& cache,
-                                           TurnResult& result) {
+std::optional<KvCache> CachedAttentionEngine::LoadCache(
+    SessionId session, const std::function<Status(ChunkedPayloadSink&)>& read,
+    TurnResult& result) {
+  // Zero-copy load: the store streams tier bytes straight into the
+  // deserializer — no staging payload vector. The wire form is headerless;
+  // its shape travels out of band (token count + engine PE mode). On any
+  // non-OK read the half-built deserializer state is simply never
+  // Finish()ed, which is the discard the sink contract requires.
+  CacheChunkSink sink(model_->config(), pe_mode());
+  Status status;
+  {
+    MutexLock lock(mutex_);
+    status = read(sink);
+  }
+  if (!status.ok()) {
+    CA_LOG(Warn) << "session " << session << " KV load degraded to a miss: " << status;
+  } else if (!sink.opened()) {
+    return std::nullopt;  // nothing to load: a plain miss
+  } else if (auto loaded = sink.Finish(); loaded.ok()) {
+    return std::move(*loaded);
+  } else {
+    // The bytes came back checksum-clean but do not parse: a poisoned
+    // payload. Drop the session's record so the miss is consistent.
+    CA_LOG(Warn) << "session " << session
+                 << " KV payload undeserializable, dropped: " << loaded.status();
+    MutexLock lock(mutex_);
+    store_.Remove(session);
+  }
+  // Miss-equivalent degradation (DESIGN.md §10): the KV cache is soft
+  // state, so a fault anywhere on the load path — tier I/O failure,
+  // checksum mismatch, undeserializable payload — costs a recompute, never
+  // the turn.
+  result.cache_load_fault = true;
+  load_fault_counter_->Add();
+  CA_TRACE_INSTANT("engine.cache_load_fault", "session", session);
+  return std::nullopt;
+}
+
+Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, SessionState& state,
+                                                        std::span<const TokenId> input,
+                                                        bool input_from_chunks, KvCache& cache,
+                                                        TurnResult& result) {
+  const std::size_t incoming_tokens = input.size();
   const std::size_t window = model_->config().context_window;
   if (incoming_tokens >= window) {
     return InvalidArgumentError("turn input (" + std::to_string(incoming_tokens) +
@@ -345,45 +396,17 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
         info = store_.Access(session, WallNow());
       }
       if (info.has_value()) {
-        // Miss-equivalent degradation (DESIGN.md §10): the KV cache is soft
-        // state, so a fault anywhere on the load path — tier I/O failure,
-        // checksum mismatch, undeserializable payload — costs a recompute of
-        // the history, never the turn.
-        // Zero-copy load: the store streams tier bytes straight into the
-        // deserializer — no staging payload vector. The wire form is
-        // headerless; its shape travels out of band (record token count +
-        // engine PE mode). On any non-OK read the half-built deserializer
-        // state is simply never Finish()ed, which is the discard the sink
-        // contract requires.
-        KvCache::TokenMajorDeserializer deserializer(model_->config(), pe_mode(),
-                                                     static_cast<std::size_t>(info->token_count));
-        TokenMajorSink sink(deserializer);
-        Status read;
-        {
-          MutexLock lock(mutex_);
-          read = store_.ReadPayloadInto(session, sink);
-        }
-        std::optional<KvCache> loaded_cache;
-        if (!read.ok()) {
-          CA_LOG(Warn) << "session " << session << " KV load degraded to a miss: " << read;
-        } else if (auto loaded = deserializer.Finish(); loaded.ok()) {
-          loaded_cache = std::move(*loaded);
-        } else {
-          // The bytes came back checksum-clean but do not parse: a poisoned
-          // payload. Drop it so the miss is consistent.
-          CA_LOG(Warn) << "session " << session
-                       << " KV payload undeserializable, dropped: " << loaded.status();
-          MutexLock lock(mutex_);
-          store_.Remove(session);
-        }
-        if (!loaded_cache.has_value()) {
-          result.cache_load_fault = true;
-          load_fault_counter_->Add();
-          CA_TRACE_INSTANT("engine.cache_load_fault", "session", session);
-        } else if (loaded_cache->seq_len() != pre_drop_history) {
+        std::optional<KvCache> loaded_cache = LoadCache(
+            session,
+            [&](ChunkedPayloadSink& sink) {
+              mutex_.AssertHeld();
+              return store_.ReadPayloadInto(session, sink.Open(info->token_count));
+            },
+            result);
+        if (loaded_cache.has_value() && loaded_cache->seq_len() != pre_drop_history) {
           CA_LOG(Warn) << "session " << session << " cache holds " << loaded_cache->seq_len()
                        << " tokens, history is " << pre_drop_history << "; recomputing";
-        } else {
+        } else if (loaded_cache.has_value()) {
           cache = std::move(*loaded_cache);
           // KV cache truncation (valid for decoupled PE; deliberately
           // corrupting for the coupled-PE NKVT baseline).
@@ -409,20 +432,42 @@ Status CachedAttentionEngine::PrepareCache(SessionId session, SessionState& stat
 
   if (cache_loaded) {
     result.reused_tokens = cache.seq_len();
-    return Status::Ok();
+    return std::size_t{0};
   }
 
-  // Miss / recompute path: rebuild the history KV from the token text. A
-  // full recompute is by definition the pure prefill of the visible
-  // history, so it restores the session's sharing eligibility.
+  // Miss / recompute path: rebuild the history KV from the token text. This
+  // is by definition the pure prefill of the visible history, so it
+  // restores the session's sharing eligibility.
   state.kv_pure = true;
   CA_CHECK_EQ(cache.seq_len(), 0U);
-  if (!state.history.empty()) {
-    CA_TRACE_SPAN("engine.prefill_history", "tokens", state.history.size());
-    (void)model_->Forward(state.history, cache);
-    result.computed_tokens += state.history.size();
+  if (options_.reuse_kv && options_.store.share_prefixes) {
+    // Prefix read (DESIGN.md §17): the longest run of whole shared chunks
+    // that prefixes history ++ input. Chunk rows are another session's pure
+    // prefill of the same tokens, so they equal what the prefill below would
+    // compute, bit for bit.
+    std::vector<TokenId> prompt = state.history;
+    if (input_from_chunks) {
+      prompt.insert(prompt.end(), input.begin(), input.end());
+    }
+    std::optional<KvCache> prefix = LoadCache(
+        session,
+        [&](ChunkedPayloadSink& sink) {
+          mutex_.AssertHeld();
+          return store_.ReadPrefixInto(TokenBits(prompt), sink, WallNow()).status();
+        },
+        result);
+    if (prefix.has_value()) {
+      cache = std::move(*prefix);
+      result.reused_tokens = cache.seq_len();
+    }
   }
-  return Status::Ok();
+  if (cache.seq_len() < state.history.size()) {
+    const std::span<const TokenId> rest = std::span(state.history).subspan(cache.seq_len());
+    CA_TRACE_SPAN("engine.prefill_history", "tokens", rest.size());
+    (void)model_->Forward(rest, cache);
+    result.computed_tokens += rest.size();
+  }
+  return cache.seq_len() - state.history.size();
 }
 
 Result<Tensor> CachedAttentionEngine::ForwardTurn(SessionId session,
@@ -440,8 +485,11 @@ Result<Tensor> CachedAttentionEngine::ForwardTurn(SessionId session,
   CA_TRACE_SPAN("engine.forward_turn", "session", session, "tokens", tokens.size());
   const std::uint64_t start_ns = TraceNowNs();
 
+  // Every input position needs its logits, so only the history may come
+  // from shared chunks.
   KvCache cache = model_->MakeCache(pe_mode());
-  CA_RETURN_IF_ERROR(PrepareCache(session, state, tokens.size(), cache, result));
+  CA_RETURN_IF_ERROR(
+      PrepareCache(session, state, tokens, /*input_from_chunks=*/false, cache, result).status());
 
   Tensor logits = [&] {
     CA_TRACE_SPAN("engine.prefill", "tokens", tokens.size());
@@ -474,21 +522,26 @@ Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,
   CA_TRACE_SPAN("engine.turn", "session", session, "input", user_tokens.size());
   const std::uint64_t start_ns = TraceNowNs();
 
-  KvCache cache = model_->MakeCache(pe_mode());
-  CA_RETURN_IF_ERROR(PrepareCache(session, state, user_tokens.size(), cache, result));
-
   // Importance scoring for the kImportance compression policy accumulates
-  // the attention mass every cached token receives during this turn.
+  // the attention mass every cached token receives during this turn. The
+  // observer must see every input row, so then only the history may come
+  // from shared chunks.
   AttentionMassAccumulator mass;
   AttentionObserver* observer =
       options_.compression.policy == CompressionPolicy::kImportance ? &mass : nullptr;
 
-  // Prefill only the new input; the history is already in the cache.
+  KvCache cache = model_->MakeCache(pe_mode());
+  CA_ASSIGN_OR_RETURN(const std::size_t cached_input,
+                      PrepareCache(session, state, user_tokens,
+                                   /*input_from_chunks=*/observer == nullptr, cache, result));
+
+  // Prefill only the input the cache does not hold yet.
+  const std::span<const TokenId> uncached = user_tokens.subspan(cached_input);
   Tensor logits = [&] {
-    CA_TRACE_SPAN("engine.prefill", "tokens", user_tokens.size());
-    return model_->Forward(user_tokens, cache, observer);
+    CA_TRACE_SPAN("engine.prefill", "tokens", uncached.size());
+    return model_->Forward(uncached, cache, observer);
   }();
-  result.computed_tokens += user_tokens.size();
+  result.computed_tokens += uncached.size();
   result.prompt_tokens = state.history.size() + user_tokens.size();
   result.prefill_seconds = SecondsSince(start_ns);
 

@@ -8,8 +8,11 @@
 //      coupled PE — the NKVT baseline; or invalidating the cache entirely —
 //      the OF baseline);
 //   2. looks the session's KV cache up in AttentionStore and, on a hit,
-//      prefills only the new tokens (CachedAttention) — on a miss or in
-//      recompute mode it prefills the whole history;
+//      prefills only the new tokens (CachedAttention). On a miss with prefix
+//      sharing on, it loads the longest run of shared chunks that prefixes
+//      history + input and prefills only the rest (DESIGN.md §17); in
+//      recompute mode, or when no chunk matches, it prefills the whole
+//      history and input;
 //   3. decodes a reply, then saves the session's KV cache back to
 //      AttentionStore (synchronously or on the asynchronous write stream).
 //
@@ -19,6 +22,7 @@
 #define CA_CORE_CACHED_ATTENTION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -83,7 +87,11 @@ struct TurnResult {
   // A saved KV cache failed to load (I/O fault, corruption, poisoned
   // payload) and the turn degraded to a full recompute (DESIGN.md §10).
   bool cache_load_fault = false;
-  double prefill_seconds = 0.0;       // wall-clock prefill (TTFT proxy)
+  // Wall time from the start of the turn in the engine to the logits of its
+  // last input token: KV lookup, the load or prefix read, any history
+  // recompute, and the input prefill. It leaves out queue wait and the
+  // first decoded token, so it is not a time to first token.
+  double prefill_seconds = 0.0;
 };
 
 // Cumulative engine statistics.
@@ -265,11 +273,26 @@ class CachedAttentionEngine {
   // the store — a recompute miss, never a wrong answer.
   Status RestoreSessions() CA_EXCLUDES(mutex_);
 
-  // Prepares the KV cache for a turn: handles overflow, loads from the
-  // store or recomputes. On return `cache` holds exactly the history
-  // prefix; `result` has hit/truncation accounting filled in.
-  Status PrepareCache(SessionId session, SessionState& state, std::size_t incoming_tokens,
-                      KvCache& cache, TurnResult& result) CA_EXCLUDES(mutex_);
+  // Prepares the KV cache for a turn over `input`: handles overflow, then
+  // loads the session's own record or, on a miss, reads the longest shared
+  // prefix of history + input from the store (of the history alone unless
+  // `input_from_chunks`) and prefills the rest of the history. On return
+  // `cache` holds the history plus the returned number of leading input
+  // tokens; `result` has hit, truncation and token accounting filled in.
+  Result<std::size_t> PrepareCache(SessionId session, SessionState& state,
+                                   std::span<const TokenId> input, bool input_from_chunks,
+                                   KvCache& cache, TurnResult& result) CA_EXCLUDES(mutex_);
+
+  // The one KV load (DESIGN.md §10, §17), behind an own-record hit and a
+  // prefix read alike: `read` runs under the engine mutex and streams a
+  // payload into the sink it opens. Returns the loaded cache, or nullopt
+  // when `read` opened nothing (a plain miss) or on a fault. A fault — a
+  // failed read or a payload that does not deserialize — sets
+  // result.cache_load_fault and degrades to a miss; an undeserializable
+  // payload also drops the session's record.
+  std::optional<KvCache> LoadCache(SessionId session,
+                                   const std::function<Status(ChunkedPayloadSink&)>& read,
+                                   TurnResult& result) CA_EXCLUDES(mutex_);
 
   // Applies the configured TDL compression to the cache and the session's
   // visible history. Returns the number of discarded tokens.

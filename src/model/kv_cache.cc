@@ -10,6 +10,7 @@ namespace ca {
 KvCache::KvCache(const ModelConfig& config, PeMode pe_mode)
     : pe_mode_(pe_mode),
       kv_dim_(config.kv_dim()),
+      max_floats_(config.context_window * config.kv_dim()),
       k_(config.n_layers),
       v_(config.n_layers),
       k_rot_(config.n_layers) {
@@ -30,14 +31,20 @@ std::size_t KvCache::layer_len(std::size_t layer) const {
 
 namespace {
 
-// Appends one row with explicitly geometric capacity growth. libstdc++
-// already doubles on insert, but the 2x policy is a guarantee we rely on
-// (prefill must not be O(n^2) reallocation), not an implementation detail
-// to inherit silently.
-void AppendRow(std::vector<float>& dst, std::span<const float> row) {
-  if (dst.size() + row.size() > dst.capacity()) {
-    dst.reserve(std::max(dst.size() + row.size(), 2 * dst.capacity()));
+// Grows `dst` to hold at least `floats` floats, at least doubling its
+// capacity but not past `cap` (a full context window) unless `floats`
+// needs it. The 2x policy is a guarantee we rely on — neither a prefill
+// appending row by row nor a decode loop reserving one more token per step
+// may copy the whole cache each time — not an implementation detail of
+// libstdc++ to inherit silently.
+void GrowTo(std::vector<float>& dst, std::size_t floats, std::size_t cap) {
+  if (floats > dst.capacity()) {
+    dst.reserve(std::max(floats, std::min(2 * dst.capacity(), cap)));
   }
+}
+
+void AppendRow(std::vector<float>& dst, std::span<const float> row, std::size_t cap) {
+  GrowTo(dst, dst.size() + row.size(), cap);
   dst.insert(dst.end(), row.begin(), row.end());
 }
 
@@ -47,21 +54,17 @@ void KvCache::Append(std::size_t layer, std::span<const float> k, std::span<cons
   CA_CHECK_LT(layer, k_.size());
   CA_CHECK_EQ(k.size(), kv_dim_);
   CA_CHECK_EQ(v.size(), kv_dim_);
-  AppendRow(k_[layer], k);
-  AppendRow(v_[layer], v);
+  AppendRow(k_[layer], k, max_floats_);
+  AppendRow(v_[layer], v, max_floats_);
 }
 
 void KvCache::Reserve(std::size_t total_tokens) {
   const std::size_t floats = total_tokens * kv_dim_;
   for (std::size_t layer = 0; layer < k_.size(); ++layer) {
-    if (k_[layer].capacity() < floats) {
-      k_[layer].reserve(floats);
-    }
-    if (v_[layer].capacity() < floats) {
-      v_[layer].reserve(floats);
-    }
-    if (pe_mode_ == PeMode::kDecoupled && k_rot_[layer].capacity() < floats) {
-      k_rot_[layer].reserve(floats);
+    GrowTo(k_[layer], floats, max_floats_);
+    GrowTo(v_[layer], floats, max_floats_);
+    if (pe_mode_ == PeMode::kDecoupled) {
+      GrowTo(k_rot_[layer], floats, max_floats_);
     }
   }
 }

@@ -51,6 +51,9 @@ class KvCache {
   // forward pass with history + new so a prefill appends into storage grown
   // once up front instead of paying vector regrowth copies mid-pass; also
   // keeps LayerK/LayerV spans stable across the Appends of one forward.
+  // Growth is geometric, capped at the context window, as in Append: a
+  // decode loop that reserves one more token per step reallocates
+  // O(log window) times, not once per step.
   void Reserve(std::size_t total_tokens);
 
   // Row accessors.
@@ -177,6 +180,7 @@ class KvCache {
 
   PeMode pe_mode_;
   std::size_t kv_dim_;
+  std::size_t max_floats_;  // one layer's floats at a full context window
   // Indexed [layer]; each holds layer_len * kv_dim floats.
   std::vector<std::vector<float>> k_;
   std::vector<std::vector<float>> v_;

@@ -450,6 +450,40 @@ void AttentionStore::JournalAccessMaybe(KvRecord& record) {
 
 // --- prefix sharing internals (DESIGN.md §17) ------------------------------
 
+AttentionStore::PrefixMatch AttentionStore::MatchPrefix(
+    std::span<const std::uint32_t> tokens) const {
+  const std::uint64_t chunk_tokens = ChunkTokens();
+  // The last token always stays in the session's own piece, so every
+  // record has bytes > 0 and a real extent: an exact multiple of the chunk
+  // size keeps its last chunk private.
+  PrefixMatch match{.chunks = {},
+                    .key = kChainSeed,
+                    .shareable = tokens.empty() ? 0 : (tokens.size() - 1) / chunk_tokens};
+  SessionId parent = kInvalidSession;
+  for (std::uint64_t c = 0; c < match.shareable; ++c) {
+    const std::span<const std::uint32_t> span = tokens.subspan(c * chunk_tokens, chunk_tokens);
+    const std::uint64_t key = ChainKey(match.key, span);
+    const auto idx = prefix_index_.find(key);
+    if (idx == prefix_index_.end()) {
+      break;
+    }
+    // Parent identity plus exact tokens: a hash collision cannot alias a
+    // prefix.
+    const auto hit = std::find_if(idx->second.begin(), idx->second.end(), [&](SessionId cand) {
+      const SharedChunk& cc = chunks_.at(cand);
+      return cc.parent == parent &&
+             std::equal(cc.tokens.begin(), cc.tokens.end(), span.begin(), span.end());
+    });
+    if (hit == idx->second.end()) {
+      break;
+    }
+    match.chunks.push_back(*hit);
+    match.key = key;
+    parent = *hit;
+  }
+  return match;
+}
+
 void AttentionStore::RefChunk(SessionId chunk_id) { ++chunks_.at(chunk_id).refcount; }
 
 void AttentionStore::UnrefChunk(SessionId chunk_id) {
@@ -1241,83 +1275,70 @@ Status AttentionStore::Put(SessionId session, ChunkedPayloadSource& payload,
   CA_CHECK_GT(total_tokens * bpt, 0ULL) << "empty payload";
   CA_TRACE_SPAN("store.put", "session", session, "bytes", total_tokens * bpt);
 
-  // Full chunks offered to the prefix index. The session's own piece always
-  // keeps >= 1 token, so every record has bytes > 0 and a real extent
-  // (store invariant): an exact multiple keeps its last chunk private.
-  std::uint64_t n_full = 0;
-  const std::uint64_t chunk_tokens = std::max<std::uint32_t>(config_.share_chunk_tokens, 1);
-  const bool dedup = config_.share_prefixes && !dedup_tokens.empty();
-  if (dedup) {
-    CA_CHECK_EQ(dedup_tokens.size(), total_tokens)
-        << "token history disagrees with the payload's token count";
-    n_full = (total_tokens - 1) / chunk_tokens;
-  }
-
   // Snapshot the pre-existing record's identity up-front: its insertion
   // sequence survives the update, so FIFO order reflects first insertion.
   const auto old_it = records_.find(session);
   const bool existed = old_it != records_.end();
   const std::uint64_t insert_seq = existed ? old_it->second.insert_seq : next_insert_seq_++;
 
-  // Walk the chunk chain: match-or-create. Each matched/created chunk is
-  // refcounted AND pinned immediately, so room-making for later chunks can
-  // neither free a fresh chunk (no referrer table exists yet) nor evict a
-  // matched one. Chunk placement never touches the old record (`exclude`).
-  std::vector<SessionId> new_refs;
-  new_refs.reserve(n_full);
-  SessionId parent = kInvalidSession;
-  std::uint64_t parent_key = kChainSeed;
-  std::uint64_t own_begin = 0;
-  for (std::uint64_t c = 0; c < n_full; ++c) {
+  // Walk the chunk chain: match, then create the rest. Each matched or
+  // created chunk is refcounted AND pinned immediately, so room-making for
+  // later chunks can neither free a fresh chunk (no referrer table exists
+  // yet) nor evict a matched one. Chunk placement never touches the old
+  // record (`exclude`).
+  const bool dedup = config_.share_prefixes && !dedup_tokens.empty();
+  PrefixMatch match;
+  if (dedup) {
+    CA_CHECK_EQ(dedup_tokens.size(), total_tokens)
+        << "token history disagrees with the payload's token count";
+    match = MatchPrefix(dedup_tokens);
+  }
+  const std::uint64_t chunk_tokens = ChunkTokens();
+  std::vector<SessionId> new_refs = std::move(match.chunks);
+  new_refs.reserve(match.shareable);
+  stats_.prefix_lookups += new_refs.size();
+  stats_.prefix_hits += new_refs.size();
+  stats_.shared_bytes_saved += new_refs.size() * chunk_tokens * bpt;
+  for (const SessionId chunk_id : new_refs) {
+    RefChunk(chunk_id);
+    pinned_chunks_.push_back(chunk_id);
+  }
+  SessionId parent = new_refs.empty() ? kInvalidSession : new_refs.back();
+  std::uint64_t parent_key = match.key;
+  for (std::uint64_t c = new_refs.size(); c < match.shareable; ++c) {
     const std::span<const std::uint32_t> span =
         dedup_tokens.subspan(c * chunk_tokens, chunk_tokens);
     const std::uint64_t key = ChainKey(parent_key, span);
     ++stats_.prefix_lookups;
-    SessionId chunk_id = kInvalidSession;
-    if (const auto idx = prefix_index_.find(key); idx != prefix_index_.end()) {
-      for (const SessionId cand : idx->second) {
-        const SharedChunk& cc = chunks_.at(cand);
-        if (cc.parent == parent && cc.tokens.size() == span.size() &&
-            std::equal(cc.tokens.begin(), cc.tokens.end(), span.begin())) {
-          chunk_id = cand;
-          break;
-        }
-      }
+    PayloadSource& source = payload.Range(c * chunk_tokens, (c + 1) * chunk_tokens);
+    auto placed = PlacePayload(chunk_tokens * bpt, &source, session, now, hints);
+    if (!placed.ok()) {
+      // The chunk fits nowhere: fold the rest of the prefix into the
+      // session's own piece and stop deduplicating here.
+      break;
     }
-    if (chunk_id != kInvalidSession) {
-      ++stats_.prefix_hits;
-      stats_.shared_bytes_saved += chunk_tokens * bpt;
-    } else {
-      PayloadSource& source = payload.Range(c * chunk_tokens, (c + 1) * chunk_tokens);
-      auto placed = PlacePayload(chunk_tokens * bpt, &source, session, now, hints);
-      if (!placed.ok()) {
-        // The chunk fits nowhere: fold the rest of the prefix into the
-        // session's own piece and stop deduplicating here.
-        break;
-      }
-      chunk_id = kChunkSessionBit | next_chunk_id_++;
-      InsertRecord(KvRecord{.session = chunk_id,
-                            .tier = placed->tier,
-                            .bytes = chunk_tokens * bpt,
-                            .block_bytes = RoundToBlocks(chunk_tokens * bpt),
-                            .token_count = chunk_tokens,
-                            .last_access = now,
-                            .insert_seq = next_insert_seq_++,
-                            .extent = std::move(placed->extent),
-                            .checksum = placed->checksum,
-                            .user_meta = EncodeChunkMeta(key, parent, span),
-                            .chunk_refs = {}});
-      chunks_.emplace(chunk_id, SharedChunk{key, parent, {span.begin(), span.end()}, 0});
-      prefix_index_[key].push_back(chunk_id);
-      ++stats_.chunks_created;
-    }
+    const SessionId chunk_id = kChunkSessionBit | next_chunk_id_++;
+    InsertRecord(KvRecord{.session = chunk_id,
+                          .tier = placed->tier,
+                          .bytes = chunk_tokens * bpt,
+                          .block_bytes = RoundToBlocks(chunk_tokens * bpt),
+                          .token_count = chunk_tokens,
+                          .last_access = now,
+                          .insert_seq = next_insert_seq_++,
+                          .extent = std::move(placed->extent),
+                          .checksum = placed->checksum,
+                          .user_meta = EncodeChunkMeta(key, parent, span),
+                          .chunk_refs = {}});
+    chunks_.emplace(chunk_id, SharedChunk{key, parent, {span.begin(), span.end()}, 0});
+    prefix_index_[key].push_back(chunk_id);
+    ++stats_.chunks_created;
     RefChunk(chunk_id);
     pinned_chunks_.push_back(chunk_id);
     new_refs.push_back(chunk_id);
     parent = chunk_id;
     parent_key = key;
-    own_begin = (c + 1) * chunk_tokens;
   }
+  const std::uint64_t own_begin = new_refs.size() * chunk_tokens;
 
   // Release the old record now so its own space counts as free for the
   // placement below (this also decrefs its old block table; chunks this
@@ -1414,23 +1435,54 @@ Status AttentionStore::ReadPayloadInto(SessionId session, PayloadSink& sink) {
     pieces.push_back(&records_.at(ref));
   }
   pieces.push_back(&r);
+  CA_RETURN_IF_ERROR(ReadPayloadPieces(pieces, sink));
+  for (const SessionId ref : r.chunk_refs) {
+    records_.at(ref).last_access = r.last_access;
+  }
+  return Status::Ok();
+}
+
+Result<std::uint64_t> AttentionStore::ReadPrefixInto(std::span<const std::uint32_t> tokens,
+                                                     ChunkedPayloadSink& sink, SimTime now) {
+  CA_CHECK(config_.real_payloads) << "ReadPrefixInto on capacity-only store";
+  if (!config_.share_prefixes) {
+    return std::uint64_t{0};
+  }
+  CA_TRACE_SPAN("store.read_prefix", "tokens", tokens.size());
+  const PrefixMatch match = MatchPrefix(tokens);
+  if (match.chunks.empty()) {
+    return std::uint64_t{0};
+  }
+  std::vector<const KvRecord*> pieces;
+  pieces.reserve(match.chunks.size());
+  std::uint64_t matched = 0;
+  for (const SessionId id : match.chunks) {
+    pieces.push_back(&records_.at(id));
+    matched += pieces.back()->token_count;
+  }
+  CA_RETURN_IF_ERROR(ReadPayloadPieces(pieces, sink.Open(matched)));
+  for (const SessionId id : match.chunks) {
+    records_.at(id).last_access = now;
+  }
+  ++stats_.prefix_reads;
+  stats_.prefix_read_tokens += matched;
+  return matched;
+}
+
+Status AttentionStore::ReadPayloadPieces(std::span<const KvRecord* const> pieces,
+                                         PayloadSink& sink) {
   SessionId failed = kInvalidSession;
   const Status read = ReadVerifiedStream(pieces, sink, &failed);
   if (read.ok()) {
-    for (const SessionId ref : r.chunk_refs) {
-      records_.at(ref).last_access = r.last_access;
-    }
     return read;
   }
   ++stats_.failed_reads;
   if (read.code() != StatusCode::kUnavailable) {
-    // Permanent failure or corruption: the payload is untrustworthy. Drop
-    // it so this miss is consistent on every subsequent lookup — for a
-    // shared chunk, for every session that references it.
+    // Permanent failure or corruption: the payload is untrustworthy.
     if (IsChunkId(failed)) {
       DropChunkReferrers(failed, &StoreStats::fault_evictions);
     } else {
-      DropRecord(session);
+      DropRecord(failed);
       ++stats_.fault_evictions;
     }
   }
@@ -1725,6 +1777,8 @@ void AttentionStore::PublishMetrics(MetricsRegistry* registry) const {
   gauge("store_stats.chunks_created", static_cast<double>(stats_.chunks_created));
   gauge("store_stats.chunks_freed", static_cast<double>(stats_.chunks_freed));
   gauge("store_stats.shared_bytes_saved", static_cast<double>(stats_.shared_bytes_saved));
+  gauge("store_stats.prefix_reads", static_cast<double>(stats_.prefix_reads));
+  gauge("store_stats.prefix_read_tokens", static_cast<double>(stats_.prefix_read_tokens));
   gauge("store_stats.access_checkpoints", static_cast<double>(stats_.access_checkpoints));
   reg.GetGauge("store_stats.hits", {{"tier", "HBM"}}).Set(static_cast<double>(stats_.hbm_hits));
   reg.GetGauge("store_stats.hits", {{"tier", "DRAM"}})

@@ -16,6 +16,7 @@
 #ifndef CA_STORE_ATTENTION_STORE_H_
 #define CA_STORE_ATTENTION_STORE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -202,6 +203,16 @@ class SpanChunkSource final : public ChunkedPayloadSource {
   SpanSource range_;
 };
 
+// Destination of a prefix read, the read-side mirror of
+// ChunkedPayloadSource: the store matches first, then calls Open(tokens)
+// with the matched token count and streams those tokens' bytes into the
+// sink it returns, so the caller can size its buffers to the match.
+class ChunkedPayloadSink {
+ public:
+  virtual ~ChunkedPayloadSink() = default;
+  virtual PayloadSink& Open(std::uint64_t tokens) = 0;
+};
+
 // A self-contained, transport-ready snapshot of one record for cross-store
 // migration (AnyCache's ExportBlock/ImportBlock idiom; DESIGN.md §16): the
 // verified payload bytes, the caller's user-meta blob, and enough metadata
@@ -308,6 +319,21 @@ class AttentionStore {
   // shared chunk, every session referencing it — so the miss is consistent
   // on every subsequent lookup.
   Status ReadPayloadInto(SessionId session, PayloadSink& sink);
+
+  // Prefix read (DESIGN.md §17): chain-walks `tokens` through the prefix
+  // index by Put's rule — whole chunks only, and always leaving at least
+  // one token — and streams the longest matched run of chunks, in order,
+  // into sink.Open(matched tokens) through the same verified read as
+  // ReadPayloadInto. Returns the matched token count; with no match (or
+  // without share_prefixes) it returns 0 and never opens the sink. Matched
+  // chunks get last_access = now. Faults behave as in ReadPayloadInto: a
+  // transient exhaustion keeps the chunks, while a permanent error or
+  // checksum mismatch drops every session that references the failed
+  // chunk, and with them the chunk. Lookups, hits and misses keep counting
+  // sessions' own records only; prefix_reads and prefix_read_tokens count
+  // this read.
+  Result<std::uint64_t> ReadPrefixInto(std::span<const std::uint32_t> tokens,
+                                       ChunkedPayloadSink& sink, SimTime now);
 
   // ReadPayloadInto collected into a vector.
   Result<std::vector<std::uint8_t>> ReadPayload(SessionId session);
@@ -518,6 +544,13 @@ class AttentionStore {
                             SessionId* failed);
   // One attempt at one piece (no retry: the sink has seen its bytes).
   Status ReadPiece(const KvRecord& piece, PayloadSink& sink);
+  // ReadVerifiedStream plus the fault policy of the payload reads
+  // (ReadPayloadInto, ReadPrefixInto): a failure counts in failed_reads,
+  // and unless it was transient the failed piece is dropped — a session's
+  // own record alone, a shared chunk with every session referencing it — so
+  // the miss is consistent on every later lookup. `pieces` dangle after a
+  // non-OK return.
+  Status ReadPayloadPieces(std::span<const KvRecord* const> pieces, PayloadSink& sink);
 
   // Writes the payload to `storage` with bounded transient-retry, folding
   // the checksum in as the bytes stream through; updates tier health, fault
@@ -555,6 +588,21 @@ class AttentionStore {
   static bool IsChunkId(SessionId session) {
     return session != kInvalidSession && (session & kChunkSessionBit) != 0;
   }
+
+  std::uint64_t ChunkTokens() const {
+    return std::max<std::uint64_t>(config_.share_chunk_tokens, 1);
+  }
+
+  // The one chain walk, behind Put and ReadPrefixInto: matches the
+  // shareable chunks of `tokens` against the prefix index in order and
+  // stops at the first one it does not hold — no later chunk can match,
+  // since its parent would be the missing one.
+  struct PrefixMatch {
+    std::vector<SessionId> chunks;  // matched chunk ids, in chain order
+    std::uint64_t key = 0;          // chain key of the last match (next chunk's parent key)
+    std::uint64_t shareable = 0;    // whole chunks of `tokens`, leaving >= 1 token over
+  };
+  PrefixMatch MatchPrefix(std::span<const std::uint32_t> tokens) const;
 
   // refcount++ on a chunk; the inverse frees the chunk record the moment
   // the last referencing table goes away (stats_.chunks_freed).

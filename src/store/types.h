@@ -109,6 +109,8 @@ struct StoreStats {
   std::uint64_t chunks_created = 0;     // new shared chunk records written
   std::uint64_t chunks_freed = 0;       // chunk records freed at refcount zero
   std::uint64_t shared_bytes_saved = 0; // payload bytes deduplicated (not written)
+  std::uint64_t prefix_reads = 0;       // prefix reads that matched and streamed chunks
+  std::uint64_t prefix_read_tokens = 0; // tokens those reads streamed
   std::uint64_t access_checkpoints = 0; // coarse last_access frames journaled
 
   double prefix_hit_rate() const {

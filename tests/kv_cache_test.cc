@@ -91,6 +91,28 @@ TEST(KvCacheTest, ReserveKeepsLayerSpansStableAcrossAppends) {
   EXPECT_EQ(cache.K(0, 39)[0], 3900.0f);
 }
 
+// A decode loop reserves one more token per step. Geometric growth keeps
+// that to O(log window) reallocations; an exact-size reservation would
+// copy every layer on every step (256 moves here).
+TEST(KvCacheTest, OneTokenReservesGrowGeometrically) {
+  const ModelConfig config = ModelConfig::Mini();
+  ASSERT_GE(config.context_window, 256U);
+  KvCache cache(config, PeMode::kDecoupled);
+  const float* k_base = cache.LayerK(0).data();
+  std::size_t moves = 0;
+  for (std::size_t n = 0; n < 256; ++n) {
+    cache.Reserve(n + 1);
+    FillCache(cache, n + 1);
+    if (cache.LayerK(0).data() != k_base) {
+      ++moves;
+      k_base = cache.LayerK(0).data();
+    }
+  }
+  EXPECT_EQ(cache.seq_len(), 256U);
+  EXPECT_EQ(cache.K(0, 255)[0], 25500.0f);
+  EXPECT_LE(moves, 9U);
+}
+
 TEST(KvCacheTest, ReserveDoesNotChangeLength) {
   KvCache cache(ModelConfig::Mini(), PeMode::kCoupled);
   FillCache(cache, 3);

@@ -20,9 +20,17 @@
 //    sharing on vs off (with and without KV compression), caches tainted by
 //    KV truncation fall back to private records (an empty block table),
 //    async saves are fenced by ExportSession (S2), and a durable sharing
-//    engine resumes identically after a kill-restart.
+//    engine resumes identically after a kill-restart;
+//  * prefix reads: the store streams exactly the matched whole chunks, and
+//    a missed turn loads its shared prompt's chunks and prefills only the
+//    rest — bitwise equal to sharing off, with the input
+//    kept out of the read where every input row must be computed
+//    (ForwardTurn, kImportance compression), and with checksum faults on
+//    either the session's own piece or a shared chunk degrading to a
+//    shorter read or a full prefill.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -235,6 +243,57 @@ TEST(SharedPrefix, ExactChunkMultipleKeepsTailPrivate) {
   auto small_read = store.ReadPayload(2);
   ASSERT_TRUE(small_read.ok());
   EXPECT_EQ(*small_read, TokenMajorPayload(small));
+}
+
+// Destination of a prefix read that keeps what it is handed.
+struct CollectPrefix final : ChunkedPayloadSink, PayloadSink {
+  std::uint64_t opened_tokens = 0;  // 0: Open was never called
+  std::vector<std::uint8_t> data;
+
+  PayloadSink& Open(std::uint64_t tokens) override {
+    opened_tokens = tokens;
+    return *this;
+  }
+  void Reset() override { data.clear(); }
+  void Consume(std::span<const std::uint8_t> chunk) override {
+    data.insert(data.end(), chunk.begin(), chunk.end());
+  }
+};
+
+// A prefix read streams exactly the matched chunks' bytes, by Put's rule:
+// whole chunks only, at least one token left over, and no further than the
+// first chunk that diverges. It leaves the own-record counters alone.
+TEST(SharedPrefix, ReadPrefixStreamsWholeMatchedChunks) {
+  AttentionStore store(ShareConfig());
+  const auto tokens = TokenSeq(200, 61);  // 3 full chunks + 8 tokens
+  ASSERT_TRUE(PutSharedTokens(store, 1, tokens, 1).ok());
+  const std::vector<std::uint8_t> payload = TokenMajorPayload(tokens);
+
+  std::vector<std::uint32_t> diverged = tokens;
+  diverged[100] ^= 1;  // inside chunk 2
+  const struct {
+    std::vector<std::uint32_t> probe;
+    std::uint64_t matched;
+  } cases[] = {
+      {tokens, 192},                                 // every chunk
+      {{tokens.begin(), tokens.begin() + 128}, 64},  // exact multiple stops short
+      {diverged, 64},                                // stops at the divergence
+      {TokenSeq(200, 62), 0},                        // nothing shared
+  };
+  SimTime now = 10;
+  for (const auto& c : cases) {
+    CollectPrefix sink;
+    auto read = store.ReadPrefixInto(c.probe, sink, ++now);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(*read, c.matched);
+    EXPECT_EQ(sink.opened_tokens, c.matched);
+    EXPECT_EQ(sink.data, std::vector<std::uint8_t>(payload.begin(),
+                                                   payload.begin() + c.matched * kBpt));
+  }
+  EXPECT_EQ(store.stats().prefix_reads, 3U);
+  EXPECT_EQ(store.stats().prefix_read_tokens, 192U + 64U + 64U);
+  EXPECT_EQ(store.stats().lookups, 0U);
+  store.CheckInvariants();
 }
 
 TEST(SharedPrefix, RemoveFreesChunksExactlyOnce) {
@@ -620,6 +679,210 @@ TEST(ShareEngine, RepliesBitwiseIdenticalSharingOnVsOff) {
     EXPECT_EQ(on.store().ChunkCount(), 0U);
     on.store().CheckInvariants();
   }
+}
+
+// Under kImportance compression the attention-mass observer must see every
+// input row, so a missed turn may take only its history from shared chunks,
+// never its input. Session 1 opens on the prompt alone, under the sink +
+// recent budget, so its save is pure and publishes the prompt's chunks.
+// Sessions 2-4 open on the prompt plus 20/30/40 more tokens: had their
+// input come from chunks, the observer would miss the prompt rows and the
+// compressed histories, and so the second turns, would differ.
+TEST(ShareEngine, ImportanceCompressionMatchesSharingOff) {
+  Transformer model(ModelConfig::Mini(), 51);
+  const std::size_t vocab = model.config().vocab_size;
+  EngineOptions on_opts = ShareEngineOptions();
+  on_opts.compression.policy = CompressionPolicy::kImportance;
+  CachedAttentionEngine on(&model, on_opts);
+  EngineOptions off_opts = on_opts;
+  off_opts.store.share_prefixes = false;
+  CachedAttentionEngine off(&model, off_opts);
+
+  const auto prompt = MakeTokens(24, 4242, vocab);
+  constexpr SessionId kSessions = 4;
+  for (std::size_t t = 0; t < 2; ++t) {
+    for (SessionId s = 1; s <= kSessions; ++s) {
+      std::vector<TokenId> input = MakeTokens(5, 100 * s + t, vocab);
+      if (t == 0) {
+        input = prompt;
+        const auto more = MakeTokens(s == 1 ? 0 : 10 * s, 200 + s, vocab);
+        input.insert(input.end(), more.begin(), more.end());
+      }
+      auto ron = on.Converse(s, input, 6);
+      auto roff = off.Converse(s, input, 6);
+      ASSERT_TRUE(ron.ok()) << ron.status();
+      ASSERT_TRUE(roff.ok()) << roff.status();
+      EXPECT_EQ(ron->reply, roff->reply) << "turn " << t << " session " << s;
+      EXPECT_EQ(on.SessionHistory(s), off.SessionHistory(s)) << "turn " << t << " session " << s;
+      if (t == 0) {
+        EXPECT_EQ(ron->reused_tokens, 0U) << "session " << s << " read its input from chunks";
+        EXPECT_EQ(ron->compressed_tokens > 0, s > 1) << "session " << s;
+      }
+    }
+  }
+  EXPECT_EQ(on.stats().cache_load_faults, 0U);
+  on.store().CheckInvariants();
+}
+
+// A brand-new session opening on a prompt the store already holds streams
+// the prompt's whole chunks and prefills only the rest of its input.
+TEST(ShareEngine, FirstTurnOnWarmPromptPrefillsOnlyTheRest) {
+  Transformer model(ModelConfig::Mini(), 51);
+  const std::size_t vocab = model.config().vocab_size;
+  CachedAttentionEngine on(&model, ShareEngineOptions());
+  EngineOptions off_opts = ShareEngineOptions();
+  off_opts.store.share_prefixes = false;
+  CachedAttentionEngine off(&model, off_opts);
+
+  // Three whole 8-token chunks, then a tail of each session's own.
+  const auto prompt = MakeTokens(24, 4242, vocab);
+  const auto opening = [&](SessionId s) {
+    std::vector<TokenId> input = prompt;
+    const auto tail = MakeTokens(4 + s, 300 + s, vocab);
+    input.insert(input.end(), tail.begin(), tail.end());
+    return input;
+  };
+  for (SessionId s = 1; s <= 2; ++s) {
+    const std::vector<TokenId> input = opening(s);
+    auto ron = on.Converse(s, input, 6);
+    auto roff = off.Converse(s, input, 6);
+    ASSERT_TRUE(ron.ok()) << ron.status();
+    ASSERT_TRUE(roff.ok()) << roff.status();
+    EXPECT_EQ(ron->reply, roff->reply) << "session " << s;
+    EXPECT_FALSE(ron->cache_hit);
+    EXPECT_EQ(ron->prompt_tokens, input.size());
+    // Session 1 finds an empty index; session 2 finds session 1's prompt.
+    const std::size_t matched = s == 1 ? 0 : prompt.size();
+    EXPECT_EQ(ron->reused_tokens, matched) << "session " << s;
+    EXPECT_EQ(ron->computed_tokens, input.size() - matched) << "session " << s;
+  }
+  const StoreStats& st = on.store().stats();
+  EXPECT_EQ(st.prefix_reads, 1U);
+  EXPECT_EQ(st.prefix_read_tokens, prompt.size());
+  // Lookups, hits and misses still count the sessions' own records.
+  EXPECT_EQ(st.lookups, 2U);
+  EXPECT_EQ(st.misses, 2U);
+  EXPECT_EQ(on.stats().reused_tokens, prompt.size());
+  on.store().CheckInvariants();
+}
+
+// A session whose own piece fails its checksum restarts from the shared
+// prefix: it recomputes only the history past the last shared chunk. DRAM
+// holds exactly the prompt's three chunks, so every session's own piece
+// lands on the disk tier, whose writes all tear.
+TEST(ShareEngine, CorruptOwnPieceRestartsFromSharedPrefix) {
+  Transformer model(ModelConfig::Mini(), 51);
+  const std::size_t vocab = model.config().vocab_size;
+  EngineOptions on_opts = ShareEngineOptions();
+  on_opts.store.dram_capacity = 3 * on_opts.store.block_bytes;  // one 8-token chunk per block
+  on_opts.store.disk_capacity = MiB(8);
+  on_opts.store.disk_fault.write_corrupt_p = 1.0;
+  on_opts.store.io_retry_backoff_us = 0;
+  CachedAttentionEngine on(&model, on_opts);
+  EngineOptions off_opts = ShareEngineOptions();
+  off_opts.store.share_prefixes = false;
+  CachedAttentionEngine off(&model, off_opts);
+
+  const auto prompt = MakeTokens(24, 4242, vocab);
+  for (SessionId s = 1; s <= 2; ++s) {
+    std::vector<TokenId> input = prompt;
+    input.push_back(static_cast<TokenId>(s));
+    auto ron = on.Converse(s, input, 6);
+    auto roff = off.Converse(s, input, 6);
+    ASSERT_TRUE(ron.ok()) << ron.status();
+    ASSERT_TRUE(roff.ok()) << roff.status();
+    ASSERT_EQ(ron->reply, roff->reply) << "session " << s;
+  }
+  const auto info = on.store().GetInfo(2);
+  ASSERT_TRUE(info.has_value());
+  ASSERT_EQ(info->tier, Tier::kDisk);
+  ASSERT_EQ(info->payload_bytes - info->bytes,
+            prompt.size() * KvCache::TokenMajorBytesPerToken(model.config()));
+
+  const std::size_t history = on.SessionHistory(2).size();
+  const auto input = MakeTokens(3, 77, vocab);
+  auto ron = on.Converse(2, input, 6);
+  auto roff = off.Converse(2, input, 6);
+  ASSERT_TRUE(ron.ok()) << ron.status();
+  ASSERT_TRUE(roff.ok()) << roff.status();
+  EXPECT_EQ(ron->reply, roff->reply);
+  EXPECT_EQ(on.SessionHistory(2), off.SessionHistory(2));
+  EXPECT_TRUE(ron->cache_load_fault);
+  EXPECT_FALSE(ron->cache_hit);
+  EXPECT_EQ(ron->reused_tokens, prompt.size());
+  EXPECT_EQ(ron->computed_tokens, history - prompt.size() + input.size());
+  EXPECT_EQ(on.stats().cache_load_faults, 1U);
+  EXPECT_GE(on.store().stats().corrupt_payloads, 1U);
+  // The fault dropped session 2's record alone; session 1 keeps the chunks.
+  EXPECT_TRUE(on.store().GetInfo(1).has_value());
+  on.store().CheckInvariants();
+}
+
+// A shared chunk that fails its checksum during a prefix read turns that
+// turn into a full prefill with the same reply, and drops the chunk's
+// referrers so the miss is consistent.
+TEST(ShareEngine, CorruptChunkDuringPrefixReadFallsBackToFullPrefill) {
+  Transformer model(ModelConfig::Mini(), 51);
+  const std::size_t vocab = model.config().vocab_size;
+  EngineOptions on_opts = ShareEngineOptions();
+  on_opts.store.dram_fault.write_corrupt_p = 1.0;  // every chunk lands torn
+  on_opts.store.io_retry_backoff_us = 0;
+  CachedAttentionEngine on(&model, on_opts);
+  EngineOptions off_opts = ShareEngineOptions();
+  off_opts.store.share_prefixes = false;
+  CachedAttentionEngine off(&model, off_opts);
+
+  const auto prompt = MakeTokens(24, 4242, vocab);
+  std::vector<TokenId> input = prompt;
+  input.push_back(1);
+  ASSERT_TRUE(on.Converse(1, input, 6).ok());
+  ASSERT_TRUE(off.Converse(1, input, 6).ok());
+  ASSERT_TRUE(on.store().GetInfo(1).has_value());
+  ASSERT_EQ(on.stats().cache_load_faults, 0U);
+
+  input.back() = 2;
+  auto ron = on.Converse(2, input, 6);
+  auto roff = off.Converse(2, input, 6);
+  ASSERT_TRUE(ron.ok()) << ron.status();
+  ASSERT_TRUE(roff.ok()) << roff.status();
+  EXPECT_EQ(ron->reply, roff->reply);
+  EXPECT_TRUE(ron->cache_load_fault);
+  EXPECT_EQ(ron->reused_tokens, 0U);
+  EXPECT_EQ(ron->computed_tokens, input.size());
+  EXPECT_EQ(on.stats().cache_load_faults, 1U);
+  EXPECT_FALSE(on.store().GetInfo(1).has_value()) << "the chunk's referrer survived";
+  EXPECT_EQ(on.store().stats().prefix_reads, 0U);
+  EXPECT_GE(on.store().stats().fault_evictions, 1U);
+  on.store().CheckInvariants();
+}
+
+// ForwardTurn returns the logits of every input position, so a warm prefix
+// may not stand in for its input: it still gets tokens.size() rows, equal
+// to sharing off.
+TEST(ShareEngine, ForwardTurnOnWarmPrefixReturnsEveryRow) {
+  Transformer model(ModelConfig::Mini(), 51);
+  const std::size_t vocab = model.config().vocab_size;
+  CachedAttentionEngine on(&model, ShareEngineOptions());
+  EngineOptions off_opts = ShareEngineOptions();
+  off_opts.store.share_prefixes = false;
+  CachedAttentionEngine off(&model, off_opts);
+
+  std::vector<TokenId> tokens = MakeTokens(24, 4242, vocab);
+  tokens.push_back(1);
+  ASSERT_TRUE(on.Converse(1, tokens, 6).ok());
+  ASSERT_TRUE(off.Converse(1, tokens, 6).ok());
+  ASSERT_GT(on.store().ChunkCount(), 0U);
+
+  tokens.back() = 2;
+  auto lon = on.ForwardTurn(2, tokens);
+  auto loff = off.ForwardTurn(2, tokens);
+  ASSERT_TRUE(lon.ok()) << lon.status();
+  ASSERT_TRUE(loff.ok()) << loff.status();
+  ASSERT_EQ(lon->dim(0), tokens.size());
+  ASSERT_EQ(lon->numel(), loff->numel());
+  EXPECT_TRUE(std::equal(lon->span().begin(), lon->span().end(), loff->span().begin()));
+  EXPECT_EQ(on.stats().reused_tokens, 0U);
+  EXPECT_EQ(on.store().stats().prefix_reads, 0U);
 }
 
 // KV-truncated caches are impure: the rows kept attended over the dropped
