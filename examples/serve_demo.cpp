@@ -1,13 +1,11 @@
 // Serving-runtime walkthrough (DESIGN.md §12): run a ShareGPT-style
 // multi-turn workload through the multi-threaded ServingLoop — JobQueue →
-// per-worker ContinuousBatchers → CachedAttentionEngine — with the
-// background hint/prefetch thread promoting disk-resident KV caches while
-// workers serve, then print throughput, cache hit rates and queue-wait
-// percentiles.
+// N workers, one job each → CachedAttentionEngine — with the background
+// hint/prefetch thread promoting disk-resident KV caches while workers
+// serve, then print throughput, cache hit rates and queue-wait percentiles.
 //
-//   ./build/examples/serve_demo [--sessions N] [--workers N] [--batch N]
-//                               [--no-prefetch] [--shared-prefix TOKENS]
-//                               [--trace PATH]
+//   ./build/examples/serve_demo [--sessions N] [--workers N] [--no-prefetch]
+//                               [--shared-prefix TOKENS] [--trace PATH]
 //
 // With --shared-prefix N, every session opens on the same N-token system
 // prompt and the store runs with cross-session prefix sharing (DESIGN.md
@@ -15,10 +13,10 @@
 // rate and chunk counts.
 //
 // With --trace, open the exported file in https://ui.perfetto.dev: the
-// serve-worker-* tracks show serve.batch/serve.turn slices running
-// concurrently, the serve-refresh track shows store.promote I/O overlapping
-// them (§3.3.1), and the kv-save-stream track shows async saves trailing
-// each turn (§3.2.2).
+// serve-worker-* tracks show serve.turn slices running concurrently, the
+// serve-refresh track shows serve.refresh passes (and their store.promote
+// I/O, §3.3.1) overlapping them, and the kv-save-stream track shows async
+// saves trailing each turn (§3.2.2).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -72,15 +70,12 @@ int main(int argc, char** argv) {
   std::size_t num_sessions = 16;
   std::size_t shared_prefix = 0;
   ServerOptions sopts;
-  sopts.refresh_interval_us = 100;
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
       num_sessions = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
       sopts.num_workers = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
-      sopts.max_batch_per_worker = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--no-prefetch") == 0) {
       sopts.prefetch = false;
     } else if (std::strcmp(argv[i], "--shared-prefix") == 0 && i + 1 < argc) {
@@ -89,8 +84,8 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--sessions N] [--workers N] [--batch N] "
-                   "[--no-prefetch] [--shared-prefix TOKENS] [--trace PATH]\n",
+                   "usage: %s [--sessions N] [--workers N] [--no-prefetch] "
+                   "[--shared-prefix TOKENS] [--trace PATH]\n",
                    argv[0]);
       return 2;
     }

@@ -250,7 +250,7 @@ std::optional<ShardId> ShardRouter::MigrateSession(ShardId from, SessionId sessi
                   << " failed: " << imported;
     return std::nullopt;
   }
-  src.engine->EndSession(session);
+  src.loop->EndSession(session);
   MutexLock lock(mutex_);
   src.sessions_migrated_out += 1;
   src.migrated_out_counter->Add(1);
@@ -410,9 +410,9 @@ void ShardRouter::EndSession(SessionId session) {
     turns_submitted_.erase(session);
   }
   if (pinned.has_value()) {
-    // The engine outlives its loop, so this is safe even for a shard that
-    // was drained after the session last ran on it.
-    shards_[*pinned]->engine->EndSession(session);
+    // A shut-down loop still ends sessions, so this is safe even for a
+    // shard that was drained after the session last ran on it.
+    shards_[*pinned]->loop->EndSession(session);
   }
 }
 

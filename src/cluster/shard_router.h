@@ -159,7 +159,8 @@ class ShardRouter {
   // number of shards retired.
   std::size_t PollHealth() CA_EXCLUDES(drain_mutex_);
 
-  // Ends a session fleet-wide: drops its engine state on its pinned shard
+  // Ends a session fleet-wide: ends it in its pinned shard's loop
+  // (ServingLoop::EndSession: the loop's turn counter and the engine state)
   // and erases the router's pin and turn counter, so a long-running router
   // does not grow an entry per session ever seen. The next turn for the
   // same id starts a fresh session (turn_index 1) placed by the ring.

@@ -179,6 +179,21 @@ void DeadlockOnDestroy(const Mutex* mu) {
   }
 }
 
+bool LockOrderEdgeForTesting(const Mutex* from, const Mutex* to) {
+  LockOrderGraph& graph = LockOrderGraph::Get();
+  std::lock_guard<std::mutex> g(graph.mu);
+  const auto it = graph.edges.find(from);
+  if (it == graph.edges.end()) {
+    return false;
+  }
+  for (const Edge& e : it->second) {
+    if (e.to == to) {
+      return true;
+    }
+  }
+  return false;
+}
+
 namespace {
 
 // CA_DEADLOCK_DETECT=1 in the environment (or the CA_DEADLOCK_DETECT cmake

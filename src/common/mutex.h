@@ -64,6 +64,8 @@ void DeadlockOnRelease(const Mutex* mu);
 // Removes `mu`'s node and edges so a later allocation at the same address
 // cannot inherit them.
 void DeadlockOnDestroy(const Mutex* mu);
+// True when the lock-order graph holds the edge `from` → `to`. Tests only.
+bool LockOrderEdgeForTesting(const Mutex* from, const Mutex* to);
 
 }  // namespace internal
 

@@ -205,11 +205,7 @@ void CachedAttentionEngine::SetQueueHint(std::vector<SessionId> upcoming) {
 }
 
 SchedulerHints CachedAttentionEngine::CurrentHintsLocked() const {
-  SchedulerHints hints;
-  for (std::size_t i = 0; i < queue_hint_.size(); ++i) {
-    hints.next_use_index.emplace(queue_hint_[i], i);
-  }
-  return hints;
+  return BuildHints(queue_hint_, queue_hint_.size());
 }
 
 void CachedAttentionEngine::WaitForPendingSave(SessionId session) {

@@ -25,9 +25,6 @@ struct Job {
   std::uint32_t history_tokens = 0;
   // Response length to decode this turn (a_j).
   std::uint32_t decode_tokens = 0;
-
-  // Prompt length a conventional engine prefills (history + new input).
-  std::uint32_t full_prompt_tokens() const { return history_tokens + new_tokens; }
 };
 
 }  // namespace ca

@@ -47,26 +47,6 @@ std::optional<Job> JobQueue::PopFirstRunnable(
   return std::nullopt;
 }
 
-bool JobQueue::HasRunnable(const std::function<bool(const Job&)>& runnable) const {
-  for (const Job& job : jobs_) {
-    if (runnable(job)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-const Job* JobQueue::Peek() const { return jobs_.empty() ? nullptr : &jobs_.front(); }
-
-std::vector<SessionId> JobQueue::SessionSnapshot() const {
-  std::vector<SessionId> out;
-  out.reserve(jobs_.size());
-  for (const Job& j : jobs_) {
-    out.push_back(j.session);
-  }
-  return out;
-}
-
 std::vector<SessionId> JobQueue::WindowSnapshot(std::size_t window_len) const {
   std::vector<SessionId> out;
   const std::size_t n = std::min(window_len, jobs_.size());
@@ -75,15 +55,6 @@ std::vector<SessionId> JobQueue::WindowSnapshot(std::size_t window_len) const {
     out.push_back(jobs_[i].session);
   }
   return out;
-}
-
-SchedulerHints JobQueue::HintsForWindow(std::size_t window_len) const {
-  SchedulerHints hints;
-  const std::size_t n = std::min(window_len, jobs_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    hints.next_use_index.emplace(jobs_[i].session, i);
-  }
-  return hints;
 }
 
 }  // namespace ca

@@ -2,7 +2,10 @@
 //
 // The queue is the source of the scheduler hints that drive AttentionStore's
 // scheduler-aware fetching and eviction: "the job scheduler maintains a job
-// queue, thus having the full knowledge of waiting jobs" (§3.3.1).
+// queue, thus having the full knowledge of waiting jobs" (§3.3.1). A serving
+// loop's workers pop from it one job at a time (PopFirstRunnable), and its
+// refresh thread turns WindowSnapshot into hints with BuildHints
+// (src/store/prefetcher.h).
 #ifndef CA_SCHED_JOB_QUEUE_H_
 #define CA_SCHED_JOB_QUEUE_H_
 
@@ -34,25 +37,14 @@ class JobQueue {
   // of the same session (per-session FIFO).
   std::optional<Job> PopFirstRunnable(const std::function<bool(const Job&)>& runnable);
 
-  // True when PopFirstRunnable would succeed (same head-first scan, no pop).
-  bool HasRunnable(const std::function<bool(const Job&)>& runnable) const;
-
-  const Job* Peek() const;
   std::size_t size() const { return jobs_.size(); }
   bool empty() const { return jobs_.empty(); }
-
-  // Session of every waiting job, head first (the look-ahead view).
-  std::vector<SessionId> SessionSnapshot() const;
 
   // Sessions of the first `window_len` waiting jobs, head first — the
   // look-ahead window a serving loop republishes into the engine
   // (CachedAttentionEngine::SetQueueHint) and feeds to the §3.3.1
-  // prefetcher. HintsForWindow(n) == BuildHints(WindowSnapshot(n), n).
+  // prefetcher.
   std::vector<SessionId> WindowSnapshot(std::size_t window_len) const;
-
-  // Hints over the first `window_len` waiting jobs (look-ahead eviction
-  // window). Sessions keep their earliest queue position.
-  SchedulerHints HintsForWindow(std::size_t window_len) const;
 
  private:
   std::deque<Job> jobs_;

@@ -10,11 +10,21 @@
 
 namespace ca {
 
+namespace {
+
+// Look-ahead window (jobs) republished into the engine as scheduler hints
+// and offered to the prefetcher.
+constexpr std::size_t kHintWindow = 64;
+// Pause after every refresh pass, so the thread never spins on the engine
+// mutex the workers need.
+constexpr std::chrono::microseconds kRefreshInterval{200};
+
+}  // namespace
+
 ServingLoop::ServingLoop(CachedAttentionEngine* engine, ServerOptions options)
     : engine_(engine), options_(options) {
   CA_CHECK(engine_ != nullptr);
   CA_CHECK_GT(options_.num_workers, 0U);
-  CA_CHECK_GT(options_.max_batch_per_worker, 0U);
   auto& registry = MetricsRegistry::Global();
   accepted_counter_ = &registry.GetCounter("serve.jobs_accepted");
   rejected_counter_ = &registry.GetCounter("serve.jobs_rejected");
@@ -98,13 +108,16 @@ std::optional<JobId> ServingLoop::TrySubmit(ServeRequest request) {
 
 void ServingLoop::WorkerLoop(std::size_t worker_index) {
   Tracer::Get().SetThreadName("serve-worker-" + std::to_string(worker_index));
-  ContinuousBatcher batcher(options_.max_batch_per_worker);
+  const auto runnable = [this](const Job& j) {
+    mutex_.AssertHeld();
+    return in_flight_sessions_.count(j.session) == 0;
+  };
   for (;;) {
-    // One round: admit every runnable job the batch has room for.
-    std::vector<std::pair<Job, ServeRequest>> round;
+    std::optional<Job> job;
+    ServeRequest request;
     {
       MutexLock lock(mutex_);
-      work_available_.Wait(mutex_, [this] {
+      work_available_.Wait(mutex_, [&] {
         mutex_.AssertHeld();
         if (stopping_ && queue_.empty()) {
           return true;
@@ -112,55 +125,22 @@ void ServingLoop::WorkerLoop(std::size_t worker_index) {
         if (refresh_passes_done_ < admit_after_pass_) {
           return false;  // held behind a refresh pass (test hook)
         }
-        return queue_.HasRunnable([this](const Job& j) {
-          mutex_.AssertHeld();
-          return in_flight_sessions_.count(j.session) == 0;
-        });
+        job = queue_.PopFirstRunnable(runnable);
+        return job.has_value();
       });
-      if (stopping_ && queue_.empty()) {
-        CA_CHECK(batcher.empty());
-        return;
+      if (!job.has_value()) {
+        return;  // stopping, and every accepted job has been taken
       }
-      while (batcher.HasSlot()) {
-        std::optional<Job> job = queue_.PopFirstRunnable([this](const Job& j) {
-          mutex_.AssertHeld();
-          return in_flight_sessions_.count(j.session) == 0;
-        });
-        if (!job.has_value()) {
-          break;
-        }
-        // Marking the session in flight *inside* the scan loop makes a
-        // second queued job of the same session non-runnable immediately,
-        // so one round can never hold two turns of one conversation.
-        in_flight_sessions_.insert(job->session);
-        auto payload_it = payloads_.find(job->id);
-        CA_CHECK(payload_it != payloads_.end());
-        const bool admitted = batcher.TryAdmit(*job, /*remaining=*/1);
-        CA_CHECK(admitted);  // HasSlot() held the loop open
-        round.emplace_back(*job, std::move(payload_it->second));
-        payloads_.erase(payload_it);
-      }
+      // Marking the session in flight before the lock drops makes its next
+      // queued job non-runnable for every worker.
+      in_flight_sessions_.insert(job->session);
       inflight_gauge_->Set(static_cast<double>(in_flight_sessions_.size()));
+      auto payload_it = payloads_.find(job->id);
+      CA_CHECK(payload_it != payloads_.end());
+      request = std::move(payload_it->second);
+      payloads_.erase(payload_it);
     }
-    if (round.empty()) {
-      continue;  // another worker won the race; wait again
-    }
-    {
-      // Serve the batch in admission order; each job's turn runs end to end
-      // on this worker (the real path batches at turn granularity — see
-      // DESIGN.md §12 — while the simulator models per-token iteration).
-      CA_TRACE_SPAN("serve.batch", "worker", worker_index, "jobs", round.size());
-      for (auto& [job, request] : round) {
-        ServeJob(job, std::move(request));
-      }
-    }
-    const std::vector<Job> retired = batcher.StepIteration();
-    CA_CHECK_EQ(retired.size(), round.size());
-    for (std::size_t i = 0; i < retired.size(); ++i) {
-      // StepIteration's admission-order contract is what keeps serving
-      // traces deterministic; hold it to the jobs we actually served.
-      CA_CHECK_EQ(retired[i].id, round[i].first.id);
-    }
+    ServeJob(*job, std::move(request));
   }
 }
 
@@ -203,19 +183,17 @@ void ServingLoop::RefreshLoop() {
     std::vector<SessionId> window;
     {
       MutexLock lock(mutex_);
-      window = queue_.WindowSnapshot(options_.hint_window);
+      window = queue_.WindowSnapshot(kHintWindow);
     }
-    std::size_t promoted = 0;
     if (!window.empty()) {
       CA_TRACE_SPAN("serve.refresh", "window", window.size());
-      // Republish the look-ahead window (JobQueue::HintsForWindow's view)
-      // so the store's scheduler-aware eviction sees the live queue, then
-      // drive §3.3.1 promotion over the same window. The engine mutex is
-      // free during the workers' prefill/decode, so this I/O overlaps
-      // their compute.
+      // Republish the look-ahead window so the store's scheduler-aware
+      // eviction sees the live queue, then drive §3.3.1 promotion over the
+      // same window. The engine mutex is free during the workers'
+      // prefill/decode, so this I/O overlaps their compute.
       engine_->SetQueueHint(window);
       if (options_.prefetch) {
-        promoted = engine_->PrefetchSessions(window);
+        engine_->PrefetchSessions(window);
       }
     }
     bool release;
@@ -226,11 +204,7 @@ void ServingLoop::RefreshLoop() {
     if (release) {
       work_available_.NotifyAll();
     }
-    if (promoted == 0) {
-      // Nothing promoted (or nothing queued): idle-pace the loop.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.refresh_interval_us));
-    }
+    std::this_thread::sleep_for(kRefreshInterval);
   }
 }
 
@@ -240,6 +214,14 @@ void ServingLoop::WaitIdle() {
     mutex_.AssertHeld();
     return completed_ == accepted_;
   });
+}
+
+void ServingLoop::EndSession(SessionId session) {
+  {
+    MutexLock lock(mutex_);
+    turns_submitted_.erase(session);
+  }
+  engine_->EndSession(session);
 }
 
 void ServingLoop::Shutdown() {

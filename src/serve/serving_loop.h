@@ -1,28 +1,26 @@
 // Multi-threaded serving runtime (§4.1): the layer that turns the engine +
 // scheduler building blocks into a concurrent serving system.
 //
-//   JobQueue  ──►  per-worker ContinuousBatcher  ──►  CachedAttentionEngine
+//   JobQueue  ──►  N workers, one job each  ──►  CachedAttentionEngine
 //
-// A ServingLoop owns one FIFO JobQueue fed by Submit/TrySubmit. N worker
-// threads each run a ContinuousBatcher: they admit runnable jobs from the
-// queue into their batch (TryAdmit — a full batch leaves jobs queued, it
-// never aborts), serve every admitted job's turn through
-// CachedAttentionEngine::Converse, and retire the batch through
-// StepIteration (whose admission-order completions keep multi-worker traces
-// reproducible). Per-session ordering is enforced globally: a session with
-// a turn in flight is skipped by every worker's admission scan, and because
-// the scan is head-first, two queued jobs of the same session can never run
-// concurrently or out of submission order — which is exactly the property
-// that makes an N-worker run's replies bitwise identical to a 1-worker run.
+// A ServingLoop owns one FIFO JobQueue fed by Submit/TrySubmit. Each of N
+// worker threads takes the earliest runnable job from the queue, serves its
+// turn end to end through CachedAttentionEngine::Converse, and comes back
+// for the next. Per-session ordering is enforced globally: a session with a
+// turn in flight is skipped by every worker's head-first scan, so two
+// queued jobs of the same session can never run concurrently or out of
+// submission order — which is exactly the property that makes an N-worker
+// run's replies bitwise identical to a 1-worker run.
 //
-// A background refresh thread continuously republishes the queue's
-// look-ahead window into the engine (SetQueueHint, feeding the §3.3.2
-// scheduler-aware eviction) and drives PrefetchSessions over the same
-// window, so §3.3.1 disk→DRAM promotion genuinely overlaps the workers'
-// compute (the engine mutex is free during prefill/decode).
+// A background refresh thread republishes the queue's look-ahead window
+// into the engine (SetQueueHint, feeding the §3.3.2 scheduler-aware
+// eviction), drives PrefetchSessions over the same window, then sleeps a
+// fixed interval before its next pass. §3.3.1 disk→DRAM promotion thus
+// overlaps the workers' compute (the engine mutex is free during
+// prefill/decode) without spinning on the engine mutex.
 //
 // Shutdown protocol (graceful drain): close intake, serve every accepted
-// job to completion (active batches finish, then the queue drains), flush
+// job to completion (turns in flight finish, then the queue drains), flush
 // the engine's async write stream, join all threads. Accepted work is never
 // dropped; load shedding happens only at intake (TrySubmit).
 #ifndef CA_SERVE_SERVING_LOOP_H_
@@ -42,7 +40,6 @@
 #include "src/common/thread_annotations.h"
 #include "src/core/cached_attention.h"
 #include "src/obs/metrics.h"
-#include "src/sched/batcher.h"
 #include "src/sched/job.h"
 #include "src/sched/job_queue.h"
 
@@ -60,23 +57,16 @@ struct ServeReply {
   JobId job = 0;
   SessionId session = kInvalidSession;
   std::uint32_t turn_index = 0;  // 1-based per-session submission index
+                                 // (back to 1 after EndSession)
   Status status = Status::Ok();  // non-OK: the engine rejected the turn
   TurnResult turn;               // reply tokens + per-turn accounting
 };
 
 struct ServerOptions {
   std::size_t num_workers = 4;
-  // Continuous-batch capacity per worker (slots a worker serves per round).
-  std::size_t max_batch_per_worker = 4;
   // TrySubmit sheds load once this many jobs are waiting (0 = never shed;
   // Submit is always unbounded — the queue grows under overload).
   std::size_t max_queue_depth = 0;
-  // Look-ahead window (jobs) republished into the engine as scheduler hints
-  // and offered to the prefetcher.
-  std::size_t hint_window = 64;
-  // Idle cadence of the hint/prefetch refresh thread. While promotions are
-  // landing the thread loops without sleeping to stay ahead of the workers.
-  std::uint64_t refresh_interval_us = 200;
   // Drive CachedAttentionEngine::PrefetchSessions off the live queue
   // snapshot (§3.3.1 look-ahead promotion overlapping serving).
   bool prefetch = true;
@@ -108,13 +98,20 @@ class ServingLoop {
   // Blocks until every accepted job has been served. Intake stays open.
   void WaitIdle() CA_EXCLUDES(mutex_);
 
+  // Ends a session in this loop and its engine: drops the loop's turn
+  // counter and the engine's session state, so the next turn for the same
+  // id starts a fresh session (turn_index 1). Per-session quiescent API
+  // like CachedAttentionEngine::EndSession: must not race with a queued or
+  // in-flight turn of the same session. Also valid after Shutdown.
+  void EndSession(SessionId session) CA_EXCLUDES(mutex_);
+
   // Graceful drain: closes intake, serves every accepted job, flushes the
   // engine's async saves, joins all threads. Idempotent; called by the
   // destructor. Not thread-safe against itself.
   void Shutdown() CA_EXCLUDES(mutex_);
 
   // Test hook for deterministic prefetch tests: enqueues `requests` in one
-  // step and holds every worker out of admission until the refresh thread
+  // step and holds every worker off the queue until the refresh thread
   // has completed a pass whose window snapshot saw them all. That pass's
   // hint publication and promotions then run ahead of the workers however
   // the threads are scheduled.
@@ -132,7 +129,7 @@ class ServingLoop {
   JobId EnqueueLocked(ServeRequest&& request) CA_REQUIRES(mutex_);
   void WorkerLoop(std::size_t worker_index) CA_EXCLUDES(mutex_);
   void RefreshLoop() CA_EXCLUDES(mutex_);
-  // Serves one admitted job end to end and records its reply.
+  // Serves one popped job end to end and records its reply.
   void ServeJob(const Job& job, ServeRequest request) CA_EXCLUDES(mutex_);
 
   CachedAttentionEngine* engine_;   // unguarded: set in ctor, immutable after
@@ -154,8 +151,8 @@ class ServingLoop {
   std::uint64_t completed_ CA_GUARDED_BY(mutex_) = 0;
   bool accepting_ CA_GUARDED_BY(mutex_) = true;
   bool stopping_ CA_GUARDED_BY(mutex_) = false;
-  // Refresh passes completed, and the pass workers wait for before
-  // admitting (SubmitBehindRefreshForTesting; 0: no hold).
+  // Refresh passes completed, and the pass workers wait for before taking
+  // a job (SubmitBehindRefreshForTesting; 0: no hold).
   std::uint64_t refresh_passes_done_ CA_GUARDED_BY(mutex_) = 0;
   std::uint64_t admit_after_pass_ CA_GUARDED_BY(mutex_) = 0;
 

@@ -32,7 +32,7 @@ ClusterSim::ClusterSim(SimOptions options, std::vector<SessionTrace> workload)
 
 SchedulerHints ClusterSim::CurrentHints() {
   const std::size_t window = EvictionWindowLength(store_, AvgSessionKvBytes());
-  return queue_.HintsForWindow(window);
+  return BuildHints(queue_.WindowSnapshot(window), window);
 }
 
 std::uint64_t ClusterSim::AvgSessionKvBytes() const {
@@ -96,7 +96,7 @@ void ClusterSim::SchedulePrefetch() {
   if (outstanding_fetches_ >= kMaxOutstandingFetches) {
     return;
   }
-  const auto upcoming = queue_.SessionSnapshot();
+  const auto upcoming = queue_.WindowSnapshot(queue_.size());
   const PrefetchPlan plan = prefetcher_.Plan(upcoming, AvgSessionKvBytes());
   ++metrics_.prefetch_plans;
   for (const SessionId session : plan.to_fetch) {

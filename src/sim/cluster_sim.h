@@ -25,7 +25,6 @@
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/model/config.h"
-#include "src/sched/batcher.h"
 #include "src/sched/job_queue.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/event_queue.h"

@@ -264,7 +264,6 @@ TEST_F(ClusterTest, TrySubmitOverflowsNewSessionsAndShedsExisting) {
   copts.num_shards = 2;
   copts.engine = DefaultEngineOptions();
   copts.server.num_workers = 1;
-  copts.server.max_batch_per_worker = 1;
   copts.server.max_queue_depth = 1;
   ShardRouter router(&model_, copts);
   const std::size_t vocab = model_.config().vocab_size;

@@ -5,6 +5,7 @@
 //     an actual hang, which is what makes the bug reproducible in a test;
 //   * consistent nesting (the canonical order), lock reuse across threads,
 //     and mutex destruction/re-creation raise no report;
+//   * with detection off, an acquisition records no edge in the graph;
 //   * the 4-worker serving soak — workers, async save stream, refresh
 //     thread, store tiers, tracer and metrics registry all live — runs
 //     detection-enabled without a false positive, pinning down that the
@@ -120,17 +121,25 @@ TEST(DeadlockDetectTest, DestroyedMutexLeavesNoStaleEdges) {
 }
 
 TEST(DeadlockDetectTest, DisabledPathRecordsNothing) {
-  SetDeadlockDetectEnabled(false);
+  const bool was_enabled = DeadlockDetectEnabled();
   Mutex a("test.A2");
   Mutex b("test.B2");
+  SetDeadlockDetectEnabled(false);
   {
     MutexLock la(a);
     MutexLock lb(b);
   }
+  EXPECT_FALSE(internal::LockOrderEdgeForTesting(&a, &b)) << "disabled detector recorded A->B";
+  // The same nesting with detection on records the edge, so the check above
+  // is not vacuous. No inversion is ever taken: it would also trip TSan's
+  // own lock-order detector.
+  SetDeadlockDetectEnabled(true);
   {
+    MutexLock la(a);
     MutexLock lb(b);
-    MutexLock la(a);  // inversion, but detection is off: must not abort
   }
+  SetDeadlockDetectEnabled(was_enabled);
+  EXPECT_TRUE(internal::LockOrderEdgeForTesting(&a, &b)) << "enabled detector missed A->B";
 }
 
 // The no-false-positive soak: the full concurrent runtime under detection.
@@ -155,9 +164,7 @@ TEST(DeadlockDetectTest, ServeSoakFourWorkersNoFalsePositive) {
 
   ServerOptions sopts;
   sopts.num_workers = 4;
-  sopts.max_batch_per_worker = 2;
   sopts.prefetch = true;
-  sopts.refresh_interval_us = 50;
   {
     ServingLoop loop(&engine, sopts);
     const std::size_t vocab = model.config().vocab_size;

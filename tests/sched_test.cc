@@ -1,7 +1,8 @@
-// Scheduler tests: FIFO job queue, look-ahead hints, continuous batcher.
+// Scheduler tests: the FIFO job queue, its head-first runnable pop (the
+// per-session FIFO a serving loop relies on) and its look-ahead window.
+// Hints built from that window are BuildHints' (tests/prefetcher_test.cc).
 #include <gtest/gtest.h>
 
-#include "src/sched/batcher.h"
 #include "src/sched/job.h"
 #include "src/sched/job_queue.h"
 
@@ -18,131 +19,17 @@ Job MakeJob(JobId id, SessionId session) {
   return j;
 }
 
-TEST(JobTest, FullPromptIsHistoryPlusNew) {
-  const Job j = MakeJob(1, 2);
-  EXPECT_EQ(j.full_prompt_tokens(), 100U);
-}
-
 TEST(JobQueueTest, FifoOrder) {
   JobQueue q;
   q.Push(MakeJob(1, 10));
   q.Push(MakeJob(2, 11));
   q.Push(MakeJob(3, 12));
   EXPECT_EQ(q.size(), 3U);
-  EXPECT_EQ(q.Peek()->id, 1ULL);
   EXPECT_EQ(q.Pop()->id, 1ULL);
   EXPECT_EQ(q.Pop()->id, 2ULL);
   EXPECT_EQ(q.Pop()->id, 3ULL);
   EXPECT_FALSE(q.Pop().has_value());
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.Peek(), nullptr);
-}
-
-TEST(JobQueueTest, SessionSnapshotInOrder) {
-  JobQueue q;
-  q.Push(MakeJob(1, 30));
-  q.Push(MakeJob(2, 20));
-  q.Push(MakeJob(3, 30));
-  EXPECT_EQ(q.SessionSnapshot(), (std::vector<SessionId>{30, 20, 30}));
-}
-
-TEST(JobQueueTest, HintsRespectWindowAndEarliestUse) {
-  JobQueue q;
-  q.Push(MakeJob(1, 5));
-  q.Push(MakeJob(2, 6));
-  q.Push(MakeJob(3, 5));  // session 5 again, later
-  q.Push(MakeJob(4, 7));
-  const SchedulerHints hints = q.HintsForWindow(3);
-  EXPECT_EQ(hints.NextUse(5), 0U);
-  EXPECT_EQ(hints.NextUse(6), 1U);
-  EXPECT_FALSE(hints.InWindow(7));  // outside window of 3
-}
-
-TEST(BatcherTest, AdmitAndCapacity) {
-  ContinuousBatcher batcher(2);
-  EXPECT_TRUE(batcher.HasSlot());
-  batcher.Admit(MakeJob(1, 10), 3);
-  batcher.Admit(MakeJob(2, 11), 1);
-  EXPECT_FALSE(batcher.HasSlot());
-  EXPECT_EQ(batcher.active(), 2U);
-  EXPECT_EQ(batcher.free_slots(), 0U);
-}
-
-TEST(BatcherTest, StepCompletesJobsIndividually) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(1, 10), 2);
-  batcher.Admit(MakeJob(2, 11), 1);
-  auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 2ULL);
-  EXPECT_EQ(batcher.active(), 1U);
-  EXPECT_TRUE(batcher.HasSlot());  // continuous batching: slot freed mid-flight
-  done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 1ULL);
-  EXPECT_TRUE(batcher.empty());
-}
-
-TEST(BatcherTest, NewJobJoinsRunningBatch) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(1, 10), 3);
-  (void)batcher.StepIteration();
-  batcher.Admit(MakeJob(2, 11), 2);  // joins after one iteration
-  auto done = batcher.StepIteration();
-  EXPECT_TRUE(done.empty());  // job1 has 1 left, job2 has 1 left
-  done = batcher.StepIteration();
-  EXPECT_EQ(done.size(), 2U);
-}
-
-TEST(BatcherTest, ActiveJobsLists) {
-  ContinuousBatcher batcher(4);
-  batcher.Admit(MakeJob(7, 10), 2);
-  const auto active = batcher.ActiveJobs();
-  ASSERT_EQ(active.size(), 1U);
-  EXPECT_EQ(active[0], 7ULL);
-}
-
-TEST(BatcherTest, TryAdmitShedsWhenFullInsteadOfAborting) {
-  ContinuousBatcher batcher(1);
-  EXPECT_TRUE(batcher.TryAdmit(MakeJob(1, 10), 2));
-  EXPECT_FALSE(batcher.TryAdmit(MakeJob(2, 11), 1));  // full: shed, don't die
-  EXPECT_EQ(batcher.active(), 1U);
-  (void)batcher.StepIteration();  // job 1: 1 iteration left
-  auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), 1U);
-  EXPECT_EQ(done[0].id, 1ULL);
-  EXPECT_TRUE(batcher.TryAdmit(MakeJob(2, 11), 1));  // slot freed
-}
-
-TEST(BatcherTest, StepCompletesInAdmissionOrder) {
-  // Ids chosen to scramble under typical unordered_map hashing; the batcher
-  // must return completions in admission order regardless.
-  ContinuousBatcher batcher(8);
-  const std::vector<JobId> admitted = {23, 7, 101, 4, 55};
-  for (const JobId id : admitted) {
-    batcher.Admit(MakeJob(id, 10 + id), 1);
-  }
-  const auto done = batcher.StepIteration();
-  ASSERT_EQ(done.size(), admitted.size());
-  for (std::size_t i = 0; i < admitted.size(); ++i) {
-    EXPECT_EQ(done[i].id, admitted[i]) << "completion " << i;
-  }
-}
-
-TEST(BatcherTest, ActiveJobsListsInAdmissionOrder) {
-  ContinuousBatcher batcher(8);
-  const std::vector<JobId> admitted = {42, 3, 77, 12};
-  for (const JobId id : admitted) {
-    batcher.Admit(MakeJob(id, 10 + id), 2);
-  }
-  EXPECT_EQ(batcher.ActiveJobs(), admitted);
-  // Completion frees a slot; re-admission goes to the back of the order.
-  (void)batcher.StepIteration();
-  (void)batcher.StepIteration();
-  EXPECT_TRUE(batcher.empty());
-  batcher.Admit(MakeJob(3, 13), 1);
-  batcher.Admit(MakeJob(42, 52), 1);
-  EXPECT_EQ(batcher.ActiveJobs(), (std::vector<JobId>{3, 42}));
 }
 
 TEST(JobQueueTest, PopFirstRunnableSkipsBlockedSessions) {
@@ -156,7 +43,7 @@ TEST(JobQueueTest, PopFirstRunnableSkipsBlockedSessions) {
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(job->id, 2ULL);
   // Remaining jobs keep queue order, so session 5's jobs pop FIFO.
-  EXPECT_FALSE(q.HasRunnable(not5));
+  EXPECT_FALSE(q.PopFirstRunnable(not5).has_value());
   auto j1 = q.PopFirstRunnable([](const Job&) { return true; });
   auto j3 = q.PopFirstRunnable([](const Job&) { return true; });
   ASSERT_TRUE(j1.has_value());
@@ -174,18 +61,6 @@ TEST(JobQueueTest, WindowSnapshotTruncatesHeadFirst) {
   EXPECT_EQ(q.WindowSnapshot(2), (std::vector<SessionId>{30, 20}));
   EXPECT_EQ(q.WindowSnapshot(9), (std::vector<SessionId>{30, 20, 10}));
   EXPECT_TRUE(q.WindowSnapshot(0).empty());
-}
-
-TEST(BatcherDeathTest, OverfullAborts) {
-  ContinuousBatcher batcher(1);
-  batcher.Admit(MakeJob(1, 10), 1);
-  EXPECT_DEATH(batcher.Admit(MakeJob(2, 11), 1), "batch full");
-}
-
-TEST(BatcherDeathTest, DuplicateJobAborts) {
-  ContinuousBatcher batcher(2);
-  batcher.Admit(MakeJob(1, 10), 1);
-  EXPECT_DEATH(batcher.Admit(MakeJob(1, 10), 1), "already active");
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// ServingLoop tests: the JobQueue → ContinuousBatcher → engine runtime.
+// ServingLoop tests: the JobQueue → one-job-per-worker → engine runtime.
 //
 //   * per-session ordering under contention (turns of one conversation are
 //     served in submission order even with more workers than sessions);
+//   * EndSession restarts a session's turn count (bounded per-session state);
 //   * graceful drain with a non-empty queue (accepted work is never lost);
 //   * backpressure (TrySubmit sheds, Submit grows the queue, nothing aborts);
 //   * bitwise-identical per-session replies for 1-worker vs N-worker runs
@@ -85,7 +86,6 @@ TEST_F(ServeTest, PerSessionOrderingUnderContention) {
   CachedAttentionEngine engine(&model_, DefaultEngineOptions());
   ServerOptions sopts;
   sopts.num_workers = 4;
-  sopts.max_batch_per_worker = 2;
   ServingLoop loop(&engine, sopts);
   // 3 sessions, 6 turns each, 4 workers: more workers than sessions forces
   // contention — a session's next turn must still wait for its previous one.
@@ -114,6 +114,40 @@ TEST_F(ServeTest, PerSessionOrderingUnderContention) {
   }
   loop.Shutdown();
   EXPECT_EQ(engine.stats().turns, kSessions * kTurns);
+}
+
+// EndSession drops the loop's turn counter with the engine's session, so
+// the loop keeps no entry per session ever seen and a restarted id counts
+// from turn 1 again — the `turn` a serve.turn span reports agrees with the
+// reply's turn_index.
+TEST_F(ServeTest, EndSessionRestartsTurnCount) {
+  CachedAttentionEngine engine(&model_, DefaultEngineOptions());
+  ServerOptions sopts;
+  sopts.num_workers = 2;
+  ServingLoop loop(&engine, sopts);
+  const std::size_t vocab = model_.config().vocab_size;
+  const SessionId session = 7;
+  const auto turn = [&](std::uint64_t seed) {
+    ServeRequest req;
+    req.session = session;
+    req.input = MakeTokens(6, seed, vocab);
+    req.max_reply_tokens = 2;
+    return req;
+  };
+  loop.Submit(turn(1));
+  loop.Submit(turn(2));
+  loop.WaitIdle();
+  loop.EndSession(session);
+  EXPECT_TRUE(engine.SessionHistory(session).empty()) << "engine state survived EndSession";
+  loop.Submit(turn(3));
+  loop.Shutdown();
+  const auto replies = loop.TakeReplies();
+  ASSERT_EQ(replies.size(), 3U);
+  EXPECT_EQ(replies[0].turn_index, 1U);
+  EXPECT_EQ(replies[1].turn_index, 2U);
+  EXPECT_EQ(replies[2].turn_index, 1U) << "turn counter not reset by EndSession";
+  // A fresh session: its prompt is only this turn's input.
+  EXPECT_EQ(replies[2].turn.prompt_tokens, 6U);
 }
 
 TEST_F(ServeTest, DrainWithNonEmptyQueueServesEverythingAccepted) {
@@ -146,7 +180,6 @@ TEST_F(ServeTest, BackpressureShedsAtIntakeAndNeverAborts) {
   CachedAttentionEngine engine(&model_, DefaultEngineOptions());
   ServerOptions sopts;
   sopts.num_workers = 1;
-  sopts.max_batch_per_worker = 1;
   sopts.max_queue_depth = 2;
   ServingLoop loop(&engine, sopts);
   const std::size_t vocab = model_.config().vocab_size;
@@ -207,8 +240,6 @@ TEST_F(ServeTest, FourWorkersMatchOneWorkerBitwiseWithPrefetch) {
     CachedAttentionEngine engine(&model_, tiered_options());
     ServerOptions sopts;
     sopts.num_workers = workers;
-    sopts.max_batch_per_worker = 2;
-    sopts.refresh_interval_us = 50;
     ServingLoop loop(&engine, sopts);
     // Wave 1: populate every session's KV cache.
     for (std::size_t i = 0; i < kSessions; ++i) {
