@@ -290,6 +290,85 @@ BENCHMARK(BM_StoreReadOnly)
     ->Args({16 << 20, 1})
     ->Args({16 << 20, 0});
 
+// Disk-tier I/O (DESIGN.md §14) in servebench's shape: 32 KiB blocks, a
+// 288 KiB payload (144 tokens x 2 KiB), checksums on, no DRAM tier, so every
+// Put writes the disk file and every read streams it back. Sessions are
+// written round-robin over 64 ids: each Put lands before the session's old
+// record is freed, so after the first round every write takes recycled
+// blocks in the descending order the served path produces. Setup writes two
+// rounds before timing, so the file is fully allocated and short runs time
+// the steady state. The file lives in the page cache; bytes/sec counts
+// payload bytes over wall time, so I/O that a backend hands to kernel
+// threads is not left out.
+constexpr std::uint64_t kDiskBenchTokens = 144;
+constexpr std::uint64_t kDiskBenchBytesPerToken = KiB(2);
+constexpr SessionId kDiskBenchSessions = 64;
+
+// Destination of BM_StoreDiskRead and BM_PrefixRead that only counts what
+// it is handed.
+class CountingSink final : public ChunkedPayloadSink, public PayloadSink {
+ public:
+  PayloadSink& Open(std::uint64_t /*tokens*/) override { return *this; }
+  std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  void Reset() override { bytes_ = 0; }
+  void Consume(std::span<const std::uint8_t> chunk) override { bytes_ += chunk.size(); }
+
+  std::uint64_t bytes_ = 0;
+};
+
+StoreConfig DiskStoreConfig() {
+  StoreConfig config;
+  config.dram_capacity = 0;
+  config.disk_capacity = MiB(512);
+  config.block_bytes = KiB(32);
+  config.real_payloads = true;
+  config.verify_checksums = true;
+  return config;
+}
+
+// Puts every session twice; returns the next put's timestamp.
+SimTime WarmDiskStore(AttentionStore& store, ChunkedPayloadSource& source) {
+  const SchedulerHints hints;
+  SimTime now = 0;
+  for (SessionId s = 0; s < 2 * kDiskBenchSessions; ++s) {
+    CA_CHECK(store.Put(s % kDiskBenchSessions, source, {}, ++now, hints).ok());
+  }
+  return now;
+}
+
+void BM_StoreDiskWrite(benchmark::State& state) {
+  StoreBenchSetup();
+  AttentionStore store(DiskStoreConfig());
+  const SchedulerHints hints;
+  const std::vector<std::uint8_t> payload(kDiskBenchTokens * kDiskBenchBytesPerToken, 0x5A);
+  SpanChunkSource source(payload, kDiskBenchBytesPerToken);
+  SimTime now = WarmDiskStore(store, source);
+  SessionId next = 0;
+  for (auto _ : state) {
+    CA_CHECK(store.Put(next++ % kDiskBenchSessions, source, {}, ++now, hints).ok());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * payload.size()));
+}
+BENCHMARK(BM_StoreDiskWrite)->UseRealTime();
+
+void BM_StoreDiskRead(benchmark::State& state) {
+  StoreBenchSetup();
+  AttentionStore store(DiskStoreConfig());
+  const std::vector<std::uint8_t> payload(kDiskBenchTokens * kDiskBenchBytesPerToken, 0x5A);
+  SpanChunkSource source(payload, kDiskBenchBytesPerToken);
+  WarmDiskStore(store, source);
+  CountingSink sink;
+  SessionId next = 0;
+  for (auto _ : state) {
+    CA_CHECK(store.ReadPayloadInto(next++ % kDiskBenchSessions, sink).ok());
+  }
+  CA_CHECK_EQ(sink.bytes(), payload.size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * payload.size()));
+}
+BENCHMARK(BM_StoreDiskRead)->UseRealTime();
+
 // Durable open cost (DESIGN.md §15): replay the metadata journal and adopt
 // K disk-resident records. Setup seeds the store once; every iteration is a
 // full AttentionStore::Open against the same files. Recovery compacts the
@@ -408,19 +487,6 @@ void BM_PrefixLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * probes_per_put);
 }
 BENCHMARK(BM_PrefixLookup)->Arg(1024)->Arg(8192);
-
-// Destination of BM_PrefixRead that only counts what it is handed.
-class CountingSink final : public ChunkedPayloadSink, private PayloadSink {
- public:
-  PayloadSink& Open(std::uint64_t /*tokens*/) override { return *this; }
-  std::uint64_t bytes() const { return bytes_; }
-
- private:
-  void Reset() override { bytes_ = 0; }
-  void Consume(std::span<const std::uint8_t> chunk) override { bytes_ += chunk.size(); }
-
-  std::uint64_t bytes_ = 0;
-};
 
 // The store half of a first turn that opens on a warm shared prompt: the
 // chain walk of ReadPrefixInto plus the verified stream of every matched

@@ -42,6 +42,21 @@
 
 #include "src/common/thread_annotations.h"
 
+// Thread-sanitizer detection (gcc defines __SANITIZE_THREAD__, clang goes
+// through __has_feature). TSan builds over libstdc++ announce each Mutex's
+// destruction (see ~Mutex).
+#if defined(__SANITIZE_THREAD__)
+#define CA_TSAN_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CA_TSAN_BUILD 1
+#endif
+#endif
+#if defined(CA_TSAN_BUILD) && defined(__GLIBCXX__)
+#include <pthread.h>
+#define CA_MUTEX_ANNOUNCE_DESTROY 1
+#endif
+
 namespace ca {
 
 class Mutex;
@@ -88,6 +103,12 @@ class CA_CAPABILITY("mutex") Mutex {
     if (internal::g_deadlock_seen.load(std::memory_order_relaxed)) {
       internal::DeadlockOnDestroy(this);
     }
+#ifdef CA_MUTEX_ANNOUNCE_DESTROY
+    // libstdc++'s std::mutex has a trivial destructor, so TSan never sees it
+    // die and blames the next mutex at the same address for this one's lock
+    // order. Destroying the handle announces the death.
+    pthread_mutex_destroy(mu_.native_handle());
+#endif
   }
 
   void Lock(const std::source_location& loc = std::source_location::current()) CA_ACQUIRE() {

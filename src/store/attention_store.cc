@@ -96,6 +96,12 @@ class HashingSink final : public PayloadSink {
   ChunkedHash64 hash_;
 };
 
+// Drops a streamed payload (recovery only wants its digest).
+struct DiscardSink final : PayloadSink {
+  void Reset() override {}
+  void Consume(std::span<const std::uint8_t> /*chunk*/) override {}
+};
+
 // Collects a streamed payload. Callers reserve the full size first, so the
 // chunks append into uninitialized capacity instead of overwriting a
 // memset buffer.
@@ -224,7 +230,6 @@ AttentionStore::AttentionStore(StoreConfig config, bool defer_disk)
     }
     if (config_.disk_capacity > 0 && !defer_disk) {
       DiskIoOptions io;
-      io.mode = config_.disk_io_mode;
       io.direct_io = config_.disk_direct_io;
       auto disk =
           FileBlockStorage::Open(config_.disk_path, config_.disk_capacity, config_.block_bytes,
@@ -287,7 +292,6 @@ Status AttentionStore::OpenDurable() {
   CA_ASSIGN_OR_RETURN(meta_, MetaStore::Open(config_.disk_path + ".meta", config_.block_bytes,
                                              FreshStoreId(), std::move(mopts)));
   DiskIoOptions io;
-  io.mode = config_.disk_io_mode;
   io.direct_io = config_.disk_direct_io;
   io.persist = true;
   io.reuse_existing = meta_->recovered_existing();
@@ -330,9 +334,10 @@ Status AttentionStore::RecoverFromJournal() {
     Status adopted = rec->bytes == 0 ? FailedPreconditionError("journaled record is empty")
                                      : disk->AdoptExtent(extent);
     if (adopted.ok() && config_.recover_verify_payloads) {
-      std::vector<std::uint8_t> data(rec->bytes);
-      Status read = disk->ReadInto(extent, data);
-      if (read.ok() && config_.verify_checksums && Checksum64(data) != rec->checksum) {
+      DiscardSink discard;
+      HashingSink hashed(discard, config_.verify_checksums);
+      Status read = disk->Read(extent, hashed);
+      if (read.ok() && config_.verify_checksums && hashed.digest() != rec->checksum) {
         read = DataLossError("recovered payload failed checksum verification");
       }
       if (!read.ok()) {
@@ -925,7 +930,7 @@ Result<AttentionStore::WriteReceipt> AttentionStore::WriteWithRetry(BlockStorage
   for (std::uint32_t attempt = 0;; ++attempt) {
     source.Reset();
     HashingSource hashed(source, config_.verify_checksums);
-    auto extent = storage.WriteZeroCopy(hashed);
+    auto extent = storage.Write(hashed);
     if (extent.ok()) {
       RecordTierSuccess(tier);
       auto& io = stats_.tier_io[static_cast<std::size_t>(tier)];
@@ -984,7 +989,7 @@ Status AttentionStore::ReadPiece(const KvRecord& piece, PayloadSink& sink) {
   BlockStorage* storage = Storage(piece.tier);
   CA_CHECK(storage != nullptr);
   HashingSink hashed(sink, config_.verify_checksums);
-  CA_RETURN_IF_ERROR(storage->ReadZeroCopy(piece.extent, hashed));
+  CA_RETURN_IF_ERROR(storage->Read(piece.extent, hashed));
   if (config_.verify_checksums && hashed.digest() != piece.checksum) {
     // Corrupt bytes read back "successfully": a torn write or short read.
     // Retrying cannot help (the damage is persistent or the next read is
@@ -1171,49 +1176,50 @@ bool AttentionStore::EnsureRoom(Tier tier, std::uint64_t needed, SessionId exclu
     if (!victim.has_value()) {
       return false;
     }
-    const std::uint64_t victim_block_bytes = records_.at(*victim).block_bytes;
-    const Tier down = NextSlowerTier(tier);
-    bool demoted = false;
-    bool move_failed = false;
-    if (down != Tier::kNone && EnsureRoom(down, victim_block_bytes, exclude, now, hints)) {
-      // Revalidate: the recursive call may have cascade-dropped the victim
-      // (a session whose shared chunk was evicted from the lower tier).
-      const auto vit = records_.find(*victim);
-      if (vit == records_.end()) {
-        continue;
-      }
-      KvRecord& r = vit->second;
-      const Status moved = MoveRecord(r, down);
-      if (moved.ok()) {
-        demoted = true;
-        ++stats_.demotions;
-        stats_.bytes_demoted += r.bytes;
-        JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
-      } else {
-        ++stats_.failed_moves;
-        move_failed = true;
-      }
-    }
-    if (!demoted) {
-      // Nowhere below, or the demotion I/O failed. Room must still be made,
-      // so the victim leaves the system — soft state, the cost is a miss.
-      if (IsChunkId(*victim)) {
-        // Evicting a shared chunk makes every referencing session a
-        // consistent miss; the cascade drives the refcount to zero and
-        // frees the chunk itself.
-        DropChunkReferrers(*victim, move_failed ? &StoreStats::fault_evictions
-                                                : &StoreStats::evictions_out);
-      } else {
-        if (move_failed) {
-          ++stats_.fault_evictions;
-        } else {
-          ++stats_.evictions_out;
-        }
-        DropRecord(*victim);
-      }
-    }
+    DisplaceVictim(tier, *victim, exclude, now, hints);
   }
   return true;
+}
+
+void AttentionStore::DisplaceVictim(Tier tier, SessionId victim, SessionId exclude, SimTime now,
+                                    const SchedulerHints& hints) {
+  const std::uint64_t victim_block_bytes = records_.at(victim).block_bytes;
+  const Tier down = NextSlowerTier(tier);
+  bool move_failed = false;
+  if (down != Tier::kNone && EnsureRoom(down, victim_block_bytes, exclude, now, hints)) {
+    // Revalidate: the recursive call may have cascade-dropped the victim
+    // (a session whose shared chunk was evicted from the lower tier).
+    const auto vit = records_.find(victim);
+    if (vit == records_.end()) {
+      return;
+    }
+    KvRecord& r = vit->second;
+    const Status moved = MoveRecord(r, down);
+    if (moved.ok()) {
+      ++stats_.demotions;
+      stats_.bytes_demoted += r.bytes;
+      JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
+      return;
+    }
+    ++stats_.failed_moves;
+    move_failed = true;
+  }
+  // Nowhere below, or the demotion I/O failed. Room must still be made,
+  // so the victim leaves the system — soft state, the cost is a miss.
+  if (IsChunkId(victim)) {
+    // Evicting a shared chunk makes every referencing session a consistent
+    // miss; the cascade drives the refcount to zero and frees the chunk
+    // itself.
+    DropChunkReferrers(victim, move_failed ? &StoreStats::fault_evictions
+                                           : &StoreStats::evictions_out);
+  } else {
+    if (move_failed) {
+      ++stats_.fault_evictions;
+    } else {
+      ++stats_.evictions_out;
+    }
+    DropRecord(victim);
+  }
 }
 
 Result<AttentionStore::Placement> AttentionStore::PlacePayload(std::uint64_t bytes,
@@ -1582,28 +1588,7 @@ Status AttentionStore::Promote(SessionId session, SimTime now, const SchedulerHi
   if (!TierEnabled(Tier::kDram)) {
     return FailedPreconditionError("DRAM tier disabled");
   }
-  if (!EnsureRoom(Tier::kDram, r.block_bytes, session, now, hints)) {
-    PurgeQuarantined();
-    MaybeAudit();
-    return ResourceExhaustedError("no DRAM room to promote session " + std::to_string(session));
-  }
-  const Status moved = MoveRecord(r, Tier::kDram);
-  if (!moved.ok()) {
-    ++stats_.failed_moves;
-    if (r.tier == Tier::kNone) {  // source payload unrecoverable: record released
-      DropRecord(session);
-      ++stats_.fault_evictions;
-    }
-    PurgeQuarantined();
-    MaybeAudit();
-    return moved;
-  }
-  ++stats_.promotions;
-  stats_.bytes_promoted += r.bytes;
-  JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
-  PurgeQuarantined();
-  MaybeAudit();
-  return Status::Ok();
+  return MoveToTier(r, Tier::kDram, now, hints);
 }
 
 Status AttentionStore::Demote(SessionId session, SimTime now, const SchedulerHints& hints) {
@@ -1617,12 +1602,21 @@ Status AttentionStore::Demote(SessionId session, SimTime now, const SchedulerHin
   if (down == Tier::kNone) {
     return FailedPreconditionError("no slower tier");
   }
-  if (!EnsureRoom(down, r.block_bytes, session, now, hints)) {
+  return MoveToTier(r, down, now, hints);
+}
+
+Status AttentionStore::MoveToTier(KvRecord& r, Tier target, SimTime now,
+                                  const SchedulerHints& hints) {
+  const SessionId session = r.session;
+  const bool promote = target < r.tier;  // tiers are ordered fastest first
+  if (!EnsureRoom(target, r.block_bytes, session, now, hints)) {
     PurgeQuarantined();
     MaybeAudit();
-    return ResourceExhaustedError("no room below");
+    return ResourceExhaustedError(promote ? "no DRAM room to promote session " +
+                                                std::to_string(session)
+                                          : "no room below");
   }
-  const Status moved = MoveRecord(r, down);
+  const Status moved = MoveRecord(r, target);
   if (!moved.ok()) {
     ++stats_.failed_moves;
     if (r.tier == Tier::kNone) {  // source payload unrecoverable: record released
@@ -1633,8 +1627,13 @@ Status AttentionStore::Demote(SessionId session, SimTime now, const SchedulerHin
     MaybeAudit();
     return moved;
   }
-  ++stats_.demotions;
-  stats_.bytes_demoted += r.bytes;
+  if (promote) {
+    ++stats_.promotions;
+    stats_.bytes_promoted += r.bytes;
+  } else {
+    ++stats_.demotions;
+    stats_.bytes_demoted += r.bytes;
+  }
   JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
   PurgeQuarantined();
   MaybeAudit();
@@ -1651,43 +1650,7 @@ std::size_t AttentionStore::MaintainDramBuffer(SimTime now, const SchedulerHints
     if (!victim.has_value()) {
       break;
     }
-    const std::uint64_t victim_block_bytes = records_.at(*victim).block_bytes;
-    const Tier down = NextSlowerTier(Tier::kDram);
-    bool moved_down = false;
-    bool move_failed = false;
-    if (down != Tier::kNone && EnsureRoom(down, victim_block_bytes, kInvalidSession, now, hints)) {
-      // Revalidate: room-making below can cascade-drop the victim (shared
-      // chunk eviction drops its referrers).
-      const auto vit = records_.find(*victim);
-      if (vit == records_.end()) {
-        ++demoted;
-        continue;
-      }
-      KvRecord& r = vit->second;
-      const Status moved = MoveRecord(r, down);
-      if (moved.ok()) {
-        moved_down = true;
-        ++stats_.demotions;
-        stats_.bytes_demoted += r.bytes;
-        JournalUpsert(r, {}, /*keep_existing_user_meta=*/true);
-      } else {
-        ++stats_.failed_moves;
-        move_failed = true;
-      }
-    }
-    if (!moved_down) {
-      if (IsChunkId(*victim)) {
-        DropChunkReferrers(*victim, move_failed ? &StoreStats::fault_evictions
-                                                : &StoreStats::evictions_out);
-      } else {
-        if (move_failed) {
-          ++stats_.fault_evictions;
-        } else {
-          ++stats_.evictions_out;
-        }
-        DropRecord(*victim);
-      }
-    }
+    DisplaceVictim(Tier::kDram, *victim, kInvalidSession, now, hints);
     ++demoted;
   }
   PurgeQuarantined();

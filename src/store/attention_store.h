@@ -101,8 +101,7 @@ struct StoreConfig {
   // stamp and the read-side verification — benchmark axis, not for prod.
   bool verify_checksums = true;
 
-  // Disk-tier submission strategy and O_DIRECT staging (real_payloads only).
-  DiskIoMode disk_io_mode = DiskIoMode::kAuto;
+  // Open the disk tier's backing file O_DIRECT (real_payloads only).
   bool disk_direct_io = false;
 
   // --- durability (DESIGN.md §15) -------------------------------------
@@ -502,6 +501,17 @@ class AttentionStore {
   // touching `exclude`). Returns false if impossible.
   bool EnsureRoom(Tier tier, std::uint64_t needed, SessionId exclude, SimTime now,
                   const SchedulerHints& hints);
+
+  // One room-making step on `tier`: demotes `victim` one tier down (making
+  // room there first, never touching `exclude`) and journals the move, or —
+  // with nowhere below or a failed move — drops the victim (a chunk takes
+  // its referrers with it), counted as a fault or a capacity eviction.
+  void DisplaceVictim(Tier tier, SessionId victim, SessionId exclude, SimTime now,
+                      const SchedulerHints& hints);
+
+  // The shared tail of Promote and Demote once `target` is chosen: make
+  // room, move, count, journal; then purge quarantined tiers and audit.
+  Status MoveToTier(KvRecord& record, Tier target, SimTime now, const SchedulerHints& hints);
 
   // Moves `record` to `target` tier (payloads copied if attached). `target`
   // may be kNone, meaning eviction out of the system (never fails).

@@ -2,16 +2,18 @@
 //
 // BlockStorage is the abstract interface AttentionStore drives: write a
 // record's bytes across fixed-size blocks, read them back given the block
-// list, free the blocks. Implementations:
-//  * PooledBlockStorage — the common allocator-backed base; block I/O is a
-//    set of protected hooks (per-block plus batched zero-copy variants).
-//  * MemoryBlockStorage — heap arena (the DRAM / HBM tiers). Zero-copy I/O
-//    fills/streams arena memory directly, no staging buffer.
+// list, free the blocks. Each tier has exactly one write and one read.
+// Implementations:
+//  * PooledBlockStorage — the common allocator-backed base. Write and Read
+//    walk an extent's blocks once, in order, and call one per-block hook per
+//    direction.
+//  * MemoryBlockStorage — heap arena (the DRAM / HBM tiers). The hooks fill
+//    and stream arena memory in place, no staging buffer.
 //  * FileBlockStorage — one backing file (the disk tier of the
-//    real-execution path). Multi-block extents are issued as one batched
-//    submission: io_uring when the kernel allows it, pwritev/preadv
-//    coalescing otherwise, per-block pread/pwrite as the portable floor
-//    (see DiskIoMode). Opened through a fallible factory (a missing backing
+//    real-execution path). The hooks stage one block through a 4 KiB-aligned
+//    buffer: the source fills it and one pwrite lands it; one pread fills it
+//    and the sink consumes it. Optional O_DIRECT pads the tail block to the
+//    4 KiB granule. Opened through a fallible factory (a missing backing
 //    file disables the tier, it never aborts the process); ephemeral files
 //    are unlinked in the destructor, persistent ones (DiskIoOptions::persist,
 //    the durable disk tier of DESIGN.md §15) carry a versioned superblock
@@ -19,13 +21,13 @@
 //  * FaultInjectingBlockStorage (fault_injection.h) — decorator that injects
 //    deterministic I/O faults for tests and the store hammer.
 //
-// Zero-copy protocol (DESIGN.md §14): WriteZeroCopy pulls the payload from a
+// Streaming protocol (DESIGN.md §14): Write pulls the payload from a
 // PayloadSource — successive Fill(dest) calls hand the producer destination
 // windows that cover the record exactly once, in byte order, so a serializer
-// writes straight into tier block memory (or the disk staging buffer)
-// instead of a caller-side std::vector. ReadZeroCopy pushes the payload into
-// a PayloadSink the same way. Both are restartable: the retry loop calls
-// Reset() and replays the whole transfer.
+// writes straight into tier block memory (or the disk block buffer) instead
+// of a caller-side std::vector. Read pushes the payload into a PayloadSink
+// the same way. Both are restartable: the retry loop calls Reset() and
+// replays the whole transfer.
 //
 // The simulator never attaches payload storage (capacity accounting only);
 // the real-execution engine always does.
@@ -69,7 +71,7 @@ struct BlockExtent {
   bool empty() const { return blocks.empty(); }
 };
 
-// Sequential producer of a record's bytes (the zero-copy write protocol).
+// Sequential producer of a record's bytes (the streaming write protocol).
 // The storage calls Fill with successive destination windows whose sizes
 // sum to size(); the producer must fill each window completely.
 class PayloadSource {
@@ -86,7 +88,7 @@ class PayloadSource {
   virtual void Fill(std::span<std::uint8_t> dest) = 0;
 };
 
-// Sequential consumer of a record's bytes (the zero-copy read protocol).
+// Sequential consumer of a record's bytes (the streaming read protocol).
 // Chunks arrive in byte order and cover the record exactly once per pass.
 // NOTE: chunks are streamed BEFORE the store's checksum verdict is known;
 // a consumer must discard everything it built if the surrounding call
@@ -101,8 +103,7 @@ class PayloadSink {
   virtual void Consume(std::span<const std::uint8_t> chunk) = 0;
 };
 
-// PayloadSource over a contiguous caller buffer (adapts the legacy
-// copy-path Write(span) onto the zero-copy spine).
+// PayloadSource over a contiguous caller buffer.
 class SpanSource final : public PayloadSource {
  public:
   explicit SpanSource(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -127,27 +128,16 @@ class BlockStorage {
   BlockStorage(const BlockStorage&) = delete;
   BlockStorage& operator=(const BlockStorage&) = delete;
 
-  // Allocates blocks and writes `bytes` into them.
-  virtual Result<BlockExtent> Write(std::span<const std::uint8_t> bytes) = 0;
+  // Allocates blocks and pulls the payload from `source` (see file
+  // comment). On failure no blocks stay allocated, but the source may have
+  // been partially consumed — retries must Reset() it.
+  virtual Result<BlockExtent> Write(PayloadSource& source) = 0;
 
-  // Allocates blocks and pulls the payload from `source` (zero-copy write
-  // path; see file comment). On failure no blocks stay allocated, but the
-  // source may have been partially consumed — retries must Reset() it.
-  virtual Result<BlockExtent> WriteZeroCopy(PayloadSource& source) = 0;
-
-  // Reads a record back. A malformed extent (block count inconsistent with
-  // byte_length, or out-of-range block ids) yields kInternal, not an abort:
-  // corrupted record metadata must be handleable as a miss.
-  virtual Result<std::vector<std::uint8_t>> Read(const BlockExtent& extent) = 0;
-
-  // Reads a record into a caller-owned buffer of exactly extent.byte_length
-  // bytes (bounded retries reuse one allocation). Same failure contract as
-  // Read; `out` contents are unspecified after a failure.
-  virtual Status ReadInto(const BlockExtent& extent, std::span<std::uint8_t> out) = 0;
-
-  // Streams a record into `sink` (zero-copy read path). Memory-backed tiers
-  // pass arena spans directly — no staging copy.
-  virtual Status ReadZeroCopy(const BlockExtent& extent, PayloadSink& sink) = 0;
+  // Streams a record into `sink`. A malformed extent (block count
+  // inconsistent with byte_length, or out-of-range block ids) yields
+  // kInternal, not an abort: corrupted record metadata must be handleable
+  // as a miss.
+  virtual Status Read(const BlockExtent& extent, PayloadSink& sink) = 0;
 
   // Claims the exact blocks of `extent` without touching the device
   // (recovery re-attaches extents that survived a restart; DESIGN.md §15).
@@ -174,43 +164,28 @@ class PooledBlockStorage : public BlockStorage {
   PooledBlockStorage(std::uint64_t capacity_bytes, std::uint64_t block_bytes)
       : allocator_(capacity_bytes, block_bytes) {}
 
-  Result<BlockExtent> Write(std::span<const std::uint8_t> bytes) override CA_EXCLUDES(mutex_);
-  Result<BlockExtent> WriteZeroCopy(PayloadSource& source) override CA_EXCLUDES(mutex_);
-  Result<std::vector<std::uint8_t>> Read(const BlockExtent& extent) override CA_EXCLUDES(mutex_);
-  Status ReadInto(const BlockExtent& extent, std::span<std::uint8_t> out) override
-      CA_EXCLUDES(mutex_);
-  Status ReadZeroCopy(const BlockExtent& extent, PayloadSink& sink) override CA_EXCLUDES(mutex_);
+  Result<BlockExtent> Write(PayloadSource& source) override CA_EXCLUDES(mutex_);
+  Status Read(const BlockExtent& extent, PayloadSink& sink) override CA_EXCLUDES(mutex_);
   Status AdoptExtent(const BlockExtent& extent) override CA_EXCLUDES(mutex_);
   void Free(BlockExtent& extent) override CA_EXCLUDES(mutex_);
   std::uint64_t UsedBlocks() const override CA_EXCLUDES(mutex_);
   std::uint64_t block_bytes() const override CA_EXCLUDES(mutex_);
 
  protected:
-  // Block I/O hooks; invoked with mutex_ held. `blocks` is the in-order
-  // block list of one record, `byte_length` its exact size (the last block
-  // is partial). The per-block hooks are the portable floor; the batched
-  // hooks default to looping over them through a staging buffer and are
-  // overridden by backends that can do better (arena direct-fill, batched
-  // file submission).
-  virtual Status WriteBlock(BlockId block, std::span<const std::uint8_t> data)
+  // Per-block hooks, invoked with mutex_ held once per block of an extent,
+  // in extent order. `len` is the block's share of the record: block_bytes,
+  // or less for the tail block. WriteBlock pulls exactly `len` bytes from
+  // the source; ReadBlock hands exactly `len` bytes to the sink.
+  virtual Status WriteBlock(BlockId block, std::uint64_t len, PayloadSource& source)
       CA_REQUIRES(mutex_) = 0;
-  virtual Status ReadBlock(BlockId block, std::span<std::uint8_t> out) CA_REQUIRES(mutex_) = 0;
-
-  virtual Status WriteBlocksBatch(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                                  PayloadSource& source) CA_REQUIRES(mutex_);
-  virtual Status ReadBlocksBatch(std::span<const BlockId> blocks, std::span<std::uint8_t> out)
-      CA_REQUIRES(mutex_);
-  virtual Status ReadBlocksStream(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                                  PayloadSink& sink) CA_REQUIRES(mutex_);
+  virtual Status ReadBlock(BlockId block, std::uint64_t len, PayloadSink& sink)
+      CA_REQUIRES(mutex_) = 0;
 
   // Rejects extents whose shape is inconsistent with the pool (kInternal).
   Status ValidateExtent(const BlockExtent& extent) const CA_REQUIRES(mutex_);
 
   mutable Mutex mutex_{"store.PooledBlockStorage"};
   BlockAllocator allocator_ CA_GUARDED_BY(mutex_);
-  // Staging buffer for the default batched-hook implementations (one block)
-  // and for file-backed streaming reads (whole extent); grown on demand.
-  std::vector<std::uint8_t> scratch_ CA_GUARDED_BY(mutex_);
   // Medium label on io.write/io.read trace spans; concrete backends override
   // at construction (immutable afterwards).
   const char* trace_medium_ = "mem";  // unguarded: set at construction only
@@ -221,15 +196,10 @@ class MemoryBlockStorage final : public PooledBlockStorage {
   MemoryBlockStorage(std::uint64_t capacity_bytes, std::uint64_t block_bytes);
 
  protected:
-  Status WriteBlock(BlockId block, std::span<const std::uint8_t> data)
+  Status WriteBlock(BlockId block, std::uint64_t len, PayloadSource& source)
       CA_REQUIRES(mutex_) override;
-  Status ReadBlock(BlockId block, std::span<std::uint8_t> out) CA_REQUIRES(mutex_) override;
-  // Zero-copy overrides: the source fills / the sink reads arena memory
-  // directly, block by block.
-  Status WriteBlocksBatch(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                          PayloadSource& source) CA_REQUIRES(mutex_) override;
-  Status ReadBlocksStream(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                          PayloadSink& sink) CA_REQUIRES(mutex_) override;
+  Status ReadBlock(BlockId block, std::uint64_t len, PayloadSink& sink)
+      CA_REQUIRES(mutex_) override;
 
  private:
   std::uint8_t* BlockPtr(BlockId block) CA_REQUIRES(mutex_) {
@@ -239,16 +209,7 @@ class MemoryBlockStorage final : public PooledBlockStorage {
   std::vector<std::uint8_t> arena_ CA_GUARDED_BY(mutex_);
 };
 
-// Disk submission strategy for FileBlockStorage.
-enum class DiskIoMode : std::uint8_t {
-  kAuto = 0,     // io_uring if the kernel allows it, else batched
-  kUring = 1,    // io_uring submission queue (falls back to batched if unavailable)
-  kBatched = 2,  // pwritev/preadv, one syscall per contiguous block run
-  kSync = 3,     // per-block pread/pwrite (the PR3 behaviour; A/B baseline)
-};
-
 struct DiskIoOptions {
-  DiskIoMode mode = DiskIoMode::kAuto;
   // Open the backing file O_DIRECT and pad tail writes to the 4 KiB DMA
   // granule. Requires 4 KiB-aligned block_bytes; silently falls back to
   // buffered I/O on filesystems that reject O_DIRECT (e.g. tmpfs).
@@ -271,14 +232,12 @@ struct DiskIoOptions {
   // --- crash schedule (tests; DESIGN.md §15) ----------------------------
   // With a switch attached: once frozen, writes are swallowed before they
   // reach the file (the in-memory allocator and record table stay coherent
-  // — recovery reconciles). When crash_after_block_writes = N > 0, the
-  // batched write containing device-block write #N lands torn at that block
-  // boundary and then freezes the switch.
+  // — recovery reconciles). When crash_after_block_writes = N > 0, device
+  // block write #N is the last to reach the file, and then the switch
+  // freezes. Every block is still filled from the source either way.
   std::shared_ptr<CrashSwitch> crash;
   std::uint64_t crash_after_block_writes = 0;
 };
-
-class UringQueue;  // raw-syscall io_uring wrapper (uring_io.h)
 
 class FileBlockStorage final : public PooledBlockStorage {
  public:
@@ -294,35 +253,28 @@ class FileBlockStorage final : public PooledBlockStorage {
   ~FileBlockStorage() override;
 
   const std::string& path() const { return path_; }
-  // Submission strategy actually in effect after probing (kAuto and kUring
-  // resolve to kBatched when io_uring is unavailable).
-  DiskIoMode io_mode() const { return io_mode_; }
   bool direct_io() const { return direct_io_; }
   bool persist() const { return persist_; }
   std::uint64_t store_id() const { return store_id_; }
 
  protected:
-  Status WriteBlock(BlockId block, std::span<const std::uint8_t> data)
+  Status WriteBlock(BlockId block, std::uint64_t len, PayloadSource& source)
       CA_REQUIRES(mutex_) override;
-  Status ReadBlock(BlockId block, std::span<std::uint8_t> out) CA_REQUIRES(mutex_) override;
-  Status WriteBlocksBatch(std::span<const BlockId> blocks, std::uint64_t byte_length,
-                          PayloadSource& source) CA_REQUIRES(mutex_) override;
-  Status ReadBlocksBatch(std::span<const BlockId> blocks, std::span<std::uint8_t> out)
+  Status ReadBlock(BlockId block, std::uint64_t len, PayloadSink& sink)
       CA_REQUIRES(mutex_) override;
 
  private:
+  struct AlignedDeleter {
+    void operator()(std::uint8_t* p) const;
+  };
+  using AlignedBuffer = std::unique_ptr<std::uint8_t[], AlignedDeleter>;
+
   FileBlockStorage(std::string path, int fd, std::uint64_t capacity_bytes,
-                   std::uint64_t block_bytes, DiskIoMode mode, bool direct,
-                   std::unique_ptr<UringQueue> uring, const DiskIoOptions& io);
+                   std::uint64_t block_bytes, bool direct, AlignedBuffer buffer,
+                   const DiskIoOptions& io);
 
-  // Grows the O_DIRECT-aligned staging buffer to at least `bytes`.
-  Status EnsureAligned(std::uint64_t bytes) CA_REQUIRES(mutex_);
-
-  // Issues one batched submission (all contiguous block runs of one extent)
-  // through the active backend. `is_write` selects direction; the buffer is
-  // aligned_ for writes and `out` (or aligned_ under O_DIRECT) for reads.
-  Status SubmitRuns(std::span<const BlockId> blocks, std::span<std::uint8_t> buffer,
-                    bool is_write) CA_REQUIRES(mutex_);
+  // File offset of `block` (past the superblock region when persistent).
+  std::uint64_t BlockOffset(BlockId block) const CA_REQUIRES(mutex_);
 
   const std::string path_;          // immutable after construction
   const int fd_;                    // immutable after construction
@@ -330,8 +282,6 @@ class FileBlockStorage final : public PooledBlockStorage {
   const bool persist_;              // immutable after construction
   const std::uint64_t data_offset_; // immutable: superblock region (0 when ephemeral)
   const std::uint64_t store_id_;    // immutable after construction
-  DiskIoMode io_mode_;      // unguarded: set at construction / first failed probe only
-  std::unique_ptr<UringQueue> uring_ CA_GUARDED_BY(mutex_);
 
   // Crash schedule (tests; see DiskIoOptions). The switch itself is atomic;
   // the write counter is only touched under mutex_.
@@ -339,12 +289,9 @@ class FileBlockStorage final : public PooledBlockStorage {
   const std::uint64_t crash_after_block_writes_;  // immutable after construction
   std::uint64_t crash_blocks_written_ CA_GUARDED_BY(mutex_) = 0;
 
-  // 4 KiB-aligned staging area for batched writes (and O_DIRECT reads).
-  struct AlignedDeleter {
-    void operator()(std::uint8_t* p) const;
-  };
-  std::unique_ptr<std::uint8_t[], AlignedDeleter> aligned_ CA_GUARDED_BY(mutex_);
-  std::uint64_t aligned_bytes_ CA_GUARDED_BY(mutex_) = 0;
+  // One block, rounded up to the 4 KiB O_DIRECT granule and 4 KiB-aligned:
+  // every block write and read stages through it.
+  AlignedBuffer block_buf_ CA_GUARDED_BY(mutex_);
 };
 
 }  // namespace ca

@@ -1,7 +1,10 @@
 #include "src/store/fault_injection.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 
@@ -48,29 +51,6 @@ FaultInjectingBlockStorage::Outcome FaultInjectingBlockStorage::NextOutcome(
   return Outcome::kOk;
 }
 
-Result<BlockExtent> FaultInjectingBlockStorage::Write(std::span<const std::uint8_t> bytes) {
-  std::uint64_t corrupt_pos = 0;
-  switch (NextOutcome(/*is_read=*/false, &corrupt_pos)) {
-    case Outcome::kPermanent:
-      return IoError("injected permanent write fault");
-    case Outcome::kTransient:
-      return UnavailableError("injected transient write fault");
-    case Outcome::kCorrupt: {
-      if (bytes.empty()) {
-        return inner_->Write(bytes);
-      }
-      // Torn write: the device acknowledges the write but one byte lands
-      // damaged. Only a checksum on the read path can see this.
-      std::vector<std::uint8_t> torn(bytes.begin(), bytes.end());
-      torn[corrupt_pos % torn.size()] ^= 0xFF;
-      return inner_->Write(torn);
-    }
-    case Outcome::kOk:
-      break;
-  }
-  return inner_->Write(bytes);
-}
-
 namespace {
 
 // Flips one byte of the stream as it passes from the producer to the device.
@@ -80,7 +60,7 @@ namespace {
 class CorruptingSource final : public PayloadSource {
  public:
   CorruptingSource(PayloadSource& inner, std::uint64_t corrupt_pos)
-      : inner_(inner), target_(inner.size() == 0 ? 0 : corrupt_pos % inner.size()) {}
+      : inner_(inner), target_(corrupt_pos % inner.size()) {}
 
   std::uint64_t size() const override { return inner_.size(); }
   void Reset() override {
@@ -101,9 +81,44 @@ class CorruptingSource final : public PayloadSource {
   std::uint64_t offset_ = 0;
 };
 
+// Short read: every byte from the fault position on is lost on its way to
+// the sink, and the first lost byte is flipped too, so a zero-filled payload
+// still differs. Damaged chunks are copied out: the device's bytes stay
+// intact, only this read sees the damage.
+class ShortReadSink final : public PayloadSink {
+ public:
+  ShortReadSink(PayloadSink& inner, std::uint64_t from) : inner_(inner), from_(from) {}
+
+  void Reset() override {
+    inner_.Reset();
+    offset_ = 0;
+  }
+  void Consume(std::span<const std::uint8_t> chunk) override {
+    const std::uint64_t begin = offset_;
+    offset_ += chunk.size();
+    if (offset_ <= from_) {
+      inner_.Consume(chunk);
+      return;
+    }
+    damaged_.assign(chunk.begin(), chunk.end());
+    const std::uint64_t kept = from_ > begin ? from_ - begin : 0;
+    std::fill(damaged_.begin() + static_cast<std::ptrdiff_t>(kept), damaged_.end(), 0);
+    if (from_ >= begin) {
+      damaged_[kept] ^= 0xFF;
+    }
+    inner_.Consume(damaged_);
+  }
+
+ private:
+  PayloadSink& inner_;
+  const std::uint64_t from_;
+  std::uint64_t offset_ = 0;
+  std::vector<std::uint8_t> damaged_;
+};
+
 }  // namespace
 
-Result<BlockExtent> FaultInjectingBlockStorage::WriteZeroCopy(PayloadSource& source) {
+Result<BlockExtent> FaultInjectingBlockStorage::Write(PayloadSource& source) {
   std::uint64_t corrupt_pos = 0;
   switch (NextOutcome(/*is_read=*/false, &corrupt_pos)) {
     case Outcome::kPermanent:
@@ -112,18 +127,18 @@ Result<BlockExtent> FaultInjectingBlockStorage::WriteZeroCopy(PayloadSource& sou
       return UnavailableError("injected transient write fault");
     case Outcome::kCorrupt: {
       if (source.size() == 0) {
-        return inner_->WriteZeroCopy(source);
+        return inner_->Write(source);
       }
       CorruptingSource torn(source, corrupt_pos);
-      return inner_->WriteZeroCopy(torn);
+      return inner_->Write(torn);
     }
     case Outcome::kOk:
       break;
   }
-  return inner_->WriteZeroCopy(source);
+  return inner_->Write(source);
 }
 
-Result<std::vector<std::uint8_t>> FaultInjectingBlockStorage::Read(const BlockExtent& extent) {
+Status FaultInjectingBlockStorage::Read(const BlockExtent& extent, PayloadSink& sink) {
   std::uint64_t corrupt_pos = 0;
   switch (NextOutcome(/*is_read=*/true, &corrupt_pos)) {
     case Outcome::kPermanent:
@@ -131,72 +146,16 @@ Result<std::vector<std::uint8_t>> FaultInjectingBlockStorage::Read(const BlockEx
     case Outcome::kTransient:
       return UnavailableError("injected transient read fault");
     case Outcome::kCorrupt: {
-      auto data = inner_->Read(extent);
-      if (data.ok() && !data->empty()) {
-        // Short read: everything from the fault position on is lost. Flip
-        // the first lost byte too, so a zero-filled payload still differs.
-        const std::size_t from = corrupt_pos % data->size();
-        std::fill(data->begin() + static_cast<std::ptrdiff_t>(from), data->end(), 0);
-        (*data)[from] ^= 0xFF;
+      if (extent.byte_length == 0) {
+        return inner_->Read(extent, sink);
       }
-      return data;
+      ShortReadSink damaged(sink, corrupt_pos % extent.byte_length);
+      return inner_->Read(extent, damaged);
     }
     case Outcome::kOk:
       break;
   }
-  return inner_->Read(extent);
-}
-
-Status FaultInjectingBlockStorage::ReadInto(const BlockExtent& extent,
-                                            std::span<std::uint8_t> out) {
-  std::uint64_t corrupt_pos = 0;
-  switch (NextOutcome(/*is_read=*/true, &corrupt_pos)) {
-    case Outcome::kPermanent:
-      return IoError("injected permanent read fault");
-    case Outcome::kTransient:
-      return UnavailableError("injected transient read fault");
-    case Outcome::kCorrupt: {
-      const Status s = inner_->ReadInto(extent, out);
-      if (s.ok() && !out.empty()) {
-        // Short read: everything from the fault position on is lost. Flip
-        // the first lost byte too, so a zero-filled payload still differs.
-        const std::size_t from = corrupt_pos % out.size();
-        std::fill(out.begin() + static_cast<std::ptrdiff_t>(from), out.end(), 0);
-        out[from] ^= 0xFF;
-      }
-      return s;
-    }
-    case Outcome::kOk:
-      break;
-  }
-  return inner_->ReadInto(extent, out);
-}
-
-Status FaultInjectingBlockStorage::ReadZeroCopy(const BlockExtent& extent, PayloadSink& sink) {
-  std::uint64_t corrupt_pos = 0;
-  switch (NextOutcome(/*is_read=*/true, &corrupt_pos)) {
-    case Outcome::kPermanent:
-      return IoError("injected permanent read fault");
-    case Outcome::kTransient:
-      return UnavailableError("injected transient read fault");
-    case Outcome::kCorrupt: {
-      // Stage, damage, then stream: the sink must observe the same torn
-      // bytes a direct consumer of the device would. Chunk granularity is
-      // not part of the sink contract, so one whole-extent chunk is fine.
-      std::vector<std::uint8_t> staged(extent.byte_length);
-      CA_RETURN_IF_ERROR(inner_->ReadInto(extent, staged));
-      if (!staged.empty()) {
-        const std::size_t from = corrupt_pos % staged.size();
-        std::fill(staged.begin() + static_cast<std::ptrdiff_t>(from), staged.end(), 0);
-        staged[from] ^= 0xFF;
-      }
-      sink.Consume(staged);
-      return Status::Ok();
-    }
-    case Outcome::kOk:
-      break;
-  }
-  return inner_->ReadZeroCopy(extent, sink);
+  return inner_->Read(extent, sink);
 }
 
 Status FaultInjectingBlockStorage::AdoptExtent(const BlockExtent& extent) {

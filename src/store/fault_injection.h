@@ -1,16 +1,16 @@
 // Deterministic fault injection for tier storage (DESIGN.md §10).
 //
 // FaultInjectingBlockStorage decorates any BlockStorage and injects a
-// seeded, reproducible stream of I/O faults:
+// seeded, reproducible stream of I/O faults into its one write and one read:
 //   * transient failures   — kUnavailable; a retry may succeed (the store's
 //     bounded-backoff retry loop exists for exactly these);
 //   * permanent failures   — kIoError; retrying is pointless (dead device);
 //   * fail-after-N         — every read/write from op #N on fails
 //     permanently, modelling a device dying mid-run;
 //   * corruption           — the operation "succeeds" but the payload is
-//     damaged: torn writes flip a byte before it reaches the device, short
-//     reads zero the tail of the returned buffer. Only the store's
-//     per-extent checksum can catch these.
+//     damaged: torn writes flip a byte on its way from the source to the
+//     device, short reads zero the tail of the bytes streamed to the sink.
+//     Only the store's per-extent checksum can catch these.
 //
 // Determinism: all decisions come from one seeded Rng consumed in operation
 // order, so a single-threaded test replays the exact same fault sequence
@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "src/common/mutex.h"
 #include "src/common/rng.h"
@@ -78,12 +76,8 @@ class FaultInjectingBlockStorage final : public BlockStorage {
  public:
   FaultInjectingBlockStorage(std::unique_ptr<BlockStorage> inner, FaultConfig config);
 
-  Result<BlockExtent> Write(std::span<const std::uint8_t> bytes) override CA_EXCLUDES(mutex_);
-  Result<BlockExtent> WriteZeroCopy(PayloadSource& source) override CA_EXCLUDES(mutex_);
-  Result<std::vector<std::uint8_t>> Read(const BlockExtent& extent) override CA_EXCLUDES(mutex_);
-  Status ReadInto(const BlockExtent& extent, std::span<std::uint8_t> out) override
-      CA_EXCLUDES(mutex_);
-  Status ReadZeroCopy(const BlockExtent& extent, PayloadSink& sink) override CA_EXCLUDES(mutex_);
+  Result<BlockExtent> Write(PayloadSource& source) override CA_EXCLUDES(mutex_);
+  Status Read(const BlockExtent& extent, PayloadSink& sink) override CA_EXCLUDES(mutex_);
   // Never faults: adoption is a metadata operation (recovery must see the
   // allocator's true state, DESIGN.md §15).
   Status AdoptExtent(const BlockExtent& extent) override;

@@ -186,11 +186,11 @@ void HammerStorage(BlockStorage& storage) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t bytes = 1 + rng.NextBounded(2 * KiB(4));
         const auto fill = static_cast<std::uint8_t>(t * 16 + 1);
-        auto extent = storage.Write(Payload(bytes, fill));
+        auto extent = WriteBytes(storage, Payload(bytes, fill));
         if (!extent.ok()) {
           continue;  // pool momentarily exhausted by the other threads
         }
-        auto read = storage.Read(*extent);
+        auto read = ReadBytes(storage, *extent);
         ASSERT_TRUE(read.ok()) << read.status();
         ASSERT_EQ(read->size(), bytes);
         EXPECT_EQ(read->front(), fill);

@@ -14,8 +14,11 @@
 //    degradation is recompute, not corruption.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -56,10 +59,10 @@ OpLog RunSequence(std::uint64_t seed) {
   FaultInjectingBlockStorage storage(std::make_unique<MemoryBlockStorage>(KiB(64), KiB(4)), fc);
   OpLog log;
   for (int i = 0; i < 50; ++i) {
-    auto w = storage.Write(Payload(KiB(4), 7));
+    auto w = WriteBytes(storage, Payload(KiB(4), 7));
     log.outcomes.push_back(w.ok() ? 0 : static_cast<int>(w.status().code()));
     if (w.ok()) {
-      auto r = storage.Read(*w);
+      auto r = ReadBytes(storage, *w);
       log.outcomes.push_back(r.ok() ? 0 : static_cast<int>(r.status().code()));
       storage.Free(*w);
     }
@@ -84,16 +87,16 @@ TEST(FaultInjection, FailAfterScheduleKillsDevice) {
   FaultConfig fc;
   fc.fail_writes_after = 3;  // write #3 and on fail: the device dies mid-run
   FaultInjectingBlockStorage storage(std::make_unique<MemoryBlockStorage>(KiB(64), KiB(4)), fc);
-  auto w1 = storage.Write(Payload(16, 1));
-  auto w2 = storage.Write(Payload(16, 2));
+  auto w1 = WriteBytes(storage, Payload(16, 1));
+  auto w2 = WriteBytes(storage, Payload(16, 2));
   ASSERT_TRUE(w1.ok());
   ASSERT_TRUE(w2.ok());
-  auto w3 = storage.Write(Payload(16, 3));
-  auto w4 = storage.Write(Payload(16, 4));
+  auto w3 = WriteBytes(storage, Payload(16, 3));
+  auto w4 = WriteBytes(storage, Payload(16, 4));
   EXPECT_EQ(w3.status().code(), StatusCode::kIoError);
   EXPECT_EQ(w4.status().code(), StatusCode::kIoError);
   // Reads and frees survive the dead write path.
-  auto r1 = storage.Read(*w1);
+  auto r1 = ReadBytes(storage, *w1);
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1->front(), 1);
   storage.Free(*w1);
@@ -103,19 +106,19 @@ TEST(FaultInjection, FailAfterScheduleKillsDevice) {
 
 TEST(FaultInjection, MalformedExtentReadsAsInternalNotAbort) {
   MemoryBlockStorage storage(KiB(64), KiB(4));
-  auto extent = storage.Write(Payload(KiB(4) + 5, 9));
+  auto extent = WriteBytes(storage, Payload(KiB(4) + 5, 9));
   ASSERT_TRUE(extent.ok());
 
   BlockExtent wrong_length = *extent;
   wrong_length.byte_length += KiB(4);  // block count no longer matches
-  EXPECT_EQ(storage.Read(wrong_length).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(ReadBytes(storage, wrong_length).status().code(), StatusCode::kInternal);
 
   BlockExtent wrong_block = *extent;
   wrong_block.blocks[0] = 9999;  // out-of-range block id
-  EXPECT_EQ(storage.Read(wrong_block).status().code(), StatusCode::kInternal);
+  EXPECT_EQ(ReadBytes(storage, wrong_block).status().code(), StatusCode::kInternal);
 
   // The intact extent still reads fine afterwards.
-  auto good = storage.Read(*extent);
+  auto good = ReadBytes(storage, *extent);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good->size(), KiB(4) + 5);
   storage.Free(*extent);
@@ -141,11 +144,11 @@ TEST(FaultInjectionThreadSafety, ParallelFaultyWriteReadFree) {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::uint64_t bytes = 1 + rng.NextBounded(2 * KiB(4));
         const auto fill = static_cast<std::uint8_t>(t * 16 + 1);
-        auto extent = storage.Write(Payload(bytes, fill));
+        auto extent = WriteBytes(storage, Payload(bytes, fill));
         if (!extent.ok()) {
           continue;  // injected fault or pool momentarily exhausted
         }
-        auto read = storage.Read(*extent);
+        auto read = ReadBytes(storage, *extent);
         if (read.ok()) {
           ASSERT_EQ(read->size(), bytes);
           EXPECT_EQ(read->front(), fill);
@@ -162,7 +165,7 @@ TEST(FaultInjectionThreadSafety, ParallelFaultyWriteReadFree) {
   EXPECT_GT(storage.fault_stats().faults(), 0ULL);
 }
 
-// --- zero-copy paths under faults (DESIGN.md §14) ------------------------
+// --- streaming paths under faults (DESIGN.md §14) ------------------------
 
 TEST(FaultInjection, ZeroCopyWriteFaultsLeakNoBlocks) {
   FaultConfig fc;
@@ -174,12 +177,12 @@ TEST(FaultInjection, ZeroCopyWriteFaultsLeakNoBlocks) {
   int failures = 0;
   for (int i = 0; i < 40; ++i) {
     SpanSource source(payload);
-    auto w = storage.WriteZeroCopy(source);
+    auto w = storage.Write(source);
     if (!w.ok()) {
       ++failures;
       continue;
     }
-    auto r = storage.Read(*w);
+    auto r = ReadBytes(storage, *w);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(*r, payload);
     storage.Free(*w);
@@ -197,9 +200,9 @@ TEST(FaultInjection, CorruptZeroCopyWriteIsSilentAtTheDevice) {
   FaultInjectingBlockStorage storage(std::make_unique<MemoryBlockStorage>(KiB(64), KiB(4)), fc);
   const auto payload = Payload(KiB(4), 9);
   SpanSource source(payload);
-  auto w = storage.WriteZeroCopy(source);
+  auto w = storage.Write(source);
   ASSERT_TRUE(w.ok());
-  auto r = storage.Read(*w);
+  auto r = ReadBytes(storage, *w);
   ASSERT_TRUE(r.ok());
   EXPECT_NE(*r, payload);                  // damaged on the device
   EXPECT_EQ(r->size(), payload.size());
@@ -207,17 +210,29 @@ TEST(FaultInjection, CorruptZeroCopyWriteIsSilentAtTheDevice) {
 }
 
 TEST(FaultInjection, ShortReadIntoCallerBufferDamagesTail) {
-  // Read-path corruption models a short read: the tail of the caller's
-  // buffer is lost. The Status is still OK — detection is the checksum's
-  // job one layer up.
+  // Read-path corruption models a short read: the tail of what the sink
+  // writes into the caller's buffer is lost. The Status is still OK —
+  // detection is the checksum's job one layer up.
+  struct CallerBufferSink final : PayloadSink {
+    std::span<std::uint8_t> out;
+    std::size_t filled = 0;
+    void Reset() override { filled = 0; }
+    void Consume(std::span<const std::uint8_t> chunk) override {
+      std::copy(chunk.begin(), chunk.end(), out.begin() + static_cast<std::ptrdiff_t>(filled));
+      filled += chunk.size();
+    }
+  };
   FaultConfig fc;
   fc.read_corrupt_p = 1.0;
   FaultInjectingBlockStorage storage(std::make_unique<MemoryBlockStorage>(KiB(64), KiB(4)), fc);
   const auto payload = Payload(KiB(4) + 200, 3);
-  auto w = storage.Write(payload);
+  auto w = WriteBytes(storage, payload);
   ASSERT_TRUE(w.ok());
   std::vector<std::uint8_t> out(payload.size());
-  ASSERT_TRUE(storage.ReadInto(*w, out).ok());
+  CallerBufferSink sink;
+  sink.out = out;
+  ASSERT_TRUE(storage.Read(*w, sink).ok());
+  EXPECT_EQ(sink.filled, payload.size());
   EXPECT_NE(out, payload);
   EXPECT_EQ(out.size(), payload.size());
   storage.Free(*w);
@@ -362,10 +377,10 @@ TEST(StoreFault, ZeroCopyTornWriteDetectedByChecksum) {
 }
 
 TEST(StoreFault, TornBatchedDiskWriteDetectedByChecksum) {
-  // Same contract on the disk tier's batched (pwritev/io_uring) submission
-  // path: a write that lands damaged is a clean kDataLoss miss on read.
+  // Same contract on the disk tier, for a multi-block extent written block
+  // by block through the file's block buffer: a write that lands damaged is
+  // a clean kDataLoss miss on read.
   StoreConfig config = FaultedConfig();
-  config.disk_io_mode = DiskIoMode::kBatched;
   config.quarantine_after = 1000;
   config.disk_fault.write_corrupt_p = 1.0;
   AttentionStore store(config);

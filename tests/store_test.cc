@@ -90,22 +90,22 @@ class BlockStorageTest : public ::testing::TestWithParam<bool> {
 TEST_P(BlockStorageTest, WriteReadRoundTrip) {
   auto storage = MakeStorage(KiB(64), KiB(4));
   const auto data = Payload(KiB(4) * 2 + 123, 1);  // spans 3 blocks, last partial
-  auto extent = storage->Write(data);
+  auto extent = WriteBytes(*storage, data);
   ASSERT_TRUE(extent.ok());
   EXPECT_EQ(extent->blocks.size(), 3U);
   EXPECT_EQ(extent->byte_length, data.size());
-  auto read = storage->Read(*extent);
+  auto read = ReadBytes(*storage, *extent);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, data);
 }
 
 TEST_P(BlockStorageTest, FreeReleasesBlocks) {
   auto storage = MakeStorage(KiB(16), KiB(4));
-  auto extent = storage->Write(Payload(KiB(16), 2));
+  auto extent = WriteBytes(*storage, Payload(KiB(16), 2));
   ASSERT_TRUE(extent.ok());
-  EXPECT_FALSE(storage->Write(Payload(1, 3)).ok());  // full
+  EXPECT_FALSE(WriteBytes(*storage, Payload(1, 3)).ok());  // full
   storage->Free(*extent);
-  EXPECT_TRUE(storage->Write(Payload(1, 3)).ok());
+  EXPECT_TRUE(WriteBytes(*storage, Payload(1, 3)).ok());
 }
 
 TEST_P(BlockStorageTest, ManyRecordsInterleaved) {
@@ -113,7 +113,7 @@ TEST_P(BlockStorageTest, ManyRecordsInterleaved) {
   std::vector<std::pair<BlockExtent, std::vector<std::uint8_t>>> records;
   for (std::uint64_t i = 0; i < 10; ++i) {
     auto data = Payload(1000 * (i + 1), i);
-    auto extent = storage->Write(data);
+    auto extent = WriteBytes(*storage, data);
     ASSERT_TRUE(extent.ok());
     records.emplace_back(std::move(*extent), std::move(data));
   }
@@ -122,7 +122,7 @@ TEST_P(BlockStorageTest, ManyRecordsInterleaved) {
     storage->Free(records[i].first);
   }
   for (std::size_t i = 1; i < records.size(); i += 2) {
-    auto read = storage->Read(records[i].first);
+    auto read = ReadBytes(*storage, records[i].first);
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(*read, records[i].second);
   }

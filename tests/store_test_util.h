@@ -4,8 +4,11 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "src/store/attention_store.h"
+#include "src/store/block_storage.h"
 
 namespace ca {
 
@@ -18,6 +21,29 @@ inline Status PutBytes(AttentionStore& store, SessionId session,
                        const SchedulerHints& hints, std::span<const std::uint8_t> user_meta = {}) {
   SpanChunkSource source(payload, payload.size());
   return store.Put(session, source, /*dedup_tokens=*/{}, now, hints, user_meta);
+}
+
+// Writes `bytes` through a tier storage's one Write (suites that test
+// allocation, faults and concurrency start from plain byte buffers).
+inline Result<BlockExtent> WriteBytes(BlockStorage& storage, std::span<const std::uint8_t> bytes) {
+  SpanSource source(bytes);
+  return storage.Write(source);
+}
+
+// Reads an extent back through a tier storage's one Read, collected into a
+// vector.
+inline Result<std::vector<std::uint8_t>> ReadBytes(BlockStorage& storage,
+                                                   const BlockExtent& extent) {
+  struct Collect final : PayloadSink {
+    std::vector<std::uint8_t> data;
+    void Reset() override { data.clear(); }
+    void Consume(std::span<const std::uint8_t> chunk) override {
+      data.insert(data.end(), chunk.begin(), chunk.end());
+    }
+  } sink;
+  sink.data.reserve(extent.byte_length);
+  CA_RETURN_IF_ERROR(storage.Read(extent, sink));
+  return std::move(sink.data);
 }
 
 }  // namespace ca
