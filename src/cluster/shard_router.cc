@@ -25,7 +25,7 @@ std::string_view ShardHealthName(ShardHealth health) {
 }
 
 ShardRouter::ShardRouter(const Transformer* model, ClusterOptions options)
-    : model_(model), options_(std::move(options)), ring_(options_.vnodes_per_shard) {
+    : model_(model), options_(std::move(options)) {
   CA_CHECK(model_ != nullptr);
   CA_CHECK_GT(options_.num_shards, 0UL);
   MetricsRegistry& reg = MetricsRegistry::Global();
@@ -149,7 +149,7 @@ std::optional<JobId> ShardRouter::TrySubmit(ServeRequest request) {
       id = gid.job;
     } else {
       auto local = shards_[target]->loop->TrySubmit(request);
-      if (!local.has_value() && is_new && options_.overflow_new_sessions) {
+      if (!local.has_value() && is_new) {
         // A new session has no KV anywhere yet — it is the mobile capacity.
         // Existing sessions stay put: a shed turn beats a cold-start on a
         // foreign shard.

@@ -73,7 +73,6 @@ std::string_view ShardHealthName(ShardHealth health);
 
 struct ClusterOptions {
   std::size_t num_shards = 4;
-  std::size_t vnodes_per_shard = 64;
   // Applied to every shard's ServingLoop (max_queue_depth is the per-shard
   // backpressure that feeds router-level overflow/shedding).
   ServerOptions server;
@@ -90,8 +89,6 @@ struct ClusterOptions {
   // the session's pin and it restarts fresh via the ring (clean-miss
   // recompute). Null = no injected faults.
   std::function<bool(SessionId session, ShardId from)> migration_fault_fn;
-  // Overflow-to-least-loaded for new sessions on TrySubmit rejection.
-  bool overflow_new_sessions = true;
   // Run PollHealth inline every N routed jobs (0 disables the inline poll;
   // PollHealth stays callable explicitly).
   std::size_t health_poll_every = 64;

@@ -363,9 +363,9 @@ Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, Sessi
     result.truncated = true;
     CA_TRACE_INSTANT("engine.overflow", "session", session, "policy",
                      static_cast<int>(options_.overflow_policy));
-    // Drop the configured fraction of the window, or more if the new input
-    // still would not fit.
-    drop = static_cast<std::size_t>(options_.truncation_ratio * static_cast<double>(window));
+    // Drop kTruncationRatio of the window, or more if the new input still
+    // would not fit.
+    drop = static_cast<std::size_t>(kTruncationRatio * static_cast<double>(window));
     const std::size_t overflow = state.history.size() + incoming_tokens - window;
     drop = std::min(std::max(drop, overflow), state.history.size());
   }
@@ -464,44 +464,6 @@ Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, Sessi
     result.computed_tokens += rest.size();
   }
   return cache.seq_len() - state.history.size();
-}
-
-Result<Tensor> CachedAttentionEngine::ForwardTurn(SessionId session,
-                                                  std::span<const TokenId> tokens) {
-  CA_CHECK(!tokens.empty());
-  SessionState* state_ptr;
-  {
-    // Map access under the lock; the per-session state stays valid (node
-    // stability) and is only mutated by this serving thread.
-    MutexLock lock(mutex_);
-    state_ptr = &sessions_[session];
-  }
-  SessionState& state = *state_ptr;
-  TurnResult result;
-  CA_TRACE_SPAN("engine.forward_turn", "session", session, "tokens", tokens.size());
-  const std::uint64_t start_ns = TraceNowNs();
-
-  // Every input position needs its logits, so only the history may come
-  // from shared chunks.
-  KvCache cache = model_->MakeCache(pe_mode());
-  CA_RETURN_IF_ERROR(
-      PrepareCache(session, state, tokens, /*input_from_chunks=*/false, cache, result).status());
-
-  Tensor logits = [&] {
-    CA_TRACE_SPAN("engine.prefill", "tokens", tokens.size());
-    return model_->Forward(tokens, cache);
-  }();
-  result.computed_tokens += tokens.size();
-  result.prompt_tokens = state.history.size() + tokens.size();
-  result.prefill_seconds = SecondsSince(start_ns);
-
-  state.history.insert(state.history.end(), tokens.begin(), tokens.end());
-  if (options_.reuse_kv) {
-    SaveCache(session, cache, state);
-  }
-
-  AccumulateTurnStats(result);
-  return logits;
 }
 
 Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,

@@ -61,8 +61,6 @@ struct EngineOptions {
   // Reuse KV caches across turns (CachedAttention). False = recompute (RE).
   bool reuse_kv = true;
   OverflowPolicy overflow_policy = OverflowPolicy::kKvTruncate;
-  // Fraction of the context window dropped on overflow (paper: 0.5).
-  double truncation_ratio = 0.5;
   // AttentionStore configuration; real_payloads is forced on.
   StoreConfig store;
   // Save KV caches on a background write stream (§3.2.2's async saving).
@@ -173,31 +171,26 @@ class CachedAttentionEngine {
   const Transformer& model() const { return *model_; }
   const EngineOptions& options() const { return options_; }
   // Point-in-time snapshot of the cumulative stats. Safe to call from any
-  // thread, including while other threads are inside Converse/ForwardTurn
+  // thread, including while other threads are inside Converse
   // (accumulation happens under the engine mutex — see the stats_ contract
   // note below).
   EngineStats stats() const CA_EXCLUDES(mutex_);
   // Quiescent introspection only: callers must Flush() first and must not
-  // race with Converse/ForwardTurn, since the returned reference bypasses
+  // race with Converse, since the returned reference bypasses
   // the engine mutex that guards the store during serving.
   const AttentionStore& store() const CA_NO_THREAD_SAFETY_ANALYSIS { return store_; }
 
   // Serves one conversation turn: appends `user_tokens`, decodes up to
   // `max_reply_tokens` greedily, persists the KV cache for the next turn.
   //
-  // Concurrency contract: any number of threads may call Converse (or
-  // ForwardTurn) concurrently as long as no two of them serve the *same*
-  // session at the same time — per-session state is mutated lock-free by
-  // the serving thread, while everything cross-session (store, pending
-  // saves, hints, cumulative stats) is guarded by the engine mutex. The
-  // serving runtime (src/serve) enforces the per-session exclusivity.
+  // Concurrency contract: any number of threads may call Converse
+  // concurrently as long as no two of them serve the *same* session at the
+  // same time — per-session state is mutated lock-free by the serving
+  // thread, while everything cross-session (store, pending saves, hints,
+  // cumulative stats) is guarded by the engine mutex. The serving runtime
+  // (src/serve) enforces the per-session exclusivity.
   Result<TurnResult> Converse(SessionId session, std::span<const TokenId> user_tokens,
                               std::size_t max_reply_tokens);
-
-  // Lower-level variant used by the fidelity experiments: runs the prefill
-  // for `tokens` (history reuse rules apply) and returns the logits of all
-  // new positions. Advances the session without decoding a reply.
-  Result<Tensor> ForwardTurn(SessionId session, std::span<const TokenId> tokens);
 
   // Applications that maintain a job queue can feed it here so the
   // scheduler-aware policy and prefetcher see future accesses.
@@ -207,7 +200,7 @@ class CachedAttentionEngine {
   // `upcoming` (head first) and promotes the planned disk-resident KV
   // caches into DRAM. Safe to call from a background thread while another
   // thread serves turns — the engine mutex is held for the store mutations,
-  // which the compute phase of Converse/ForwardTurn never holds, so the
+  // which the compute phase of Converse never holds, so the
   // promotion I/O genuinely overlaps computation (the overlap the
   // "preload" trace spans make visible). Returns promoted-session count.
   std::size_t PrefetchSessions(std::span<const SessionId> upcoming) CA_EXCLUDES(mutex_);
@@ -299,11 +292,9 @@ class CachedAttentionEngine {
   std::size_t MaybeCompress(SessionState& state, KvCache& cache,
                             std::span<const float> importance);
 
-  // Single accumulation point for the per-turn counters (Converse and
-  // ForwardTurn both funnel through here, so no field — compressed_tokens
-  // included — can silently diverge between the two paths) and the live
-  // registry handles. Locks the engine mutex: turns finishing on different
-  // worker threads serialize their accounting here.
+  // Accumulates a turn's counters into stats_ and the live registry
+  // handles. Locks the engine mutex: turns finishing on different worker
+  // threads serialize their accounting here.
   void AccumulateTurnStats(const TurnResult& result) CA_EXCLUDES(mutex_);
 
   // Persists the turn's KV cache. `state.history` is the session's full

@@ -30,6 +30,12 @@ enum class PeMode {
   kCoupled,
 };
 
+// Share of the context window that truncation frees when a conversation's
+// history plus its new input overflow the window (§3.4; the paper truncates
+// half). The engine drops this share of the window from the front of the
+// history; the simulator keeps at most the rest of the window as history.
+inline constexpr double kTruncationRatio = 0.5;
+
 struct ModelConfig {
   std::string name = "mini";
   std::size_t vocab_size = 256;

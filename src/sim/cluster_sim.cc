@@ -53,9 +53,9 @@ std::pair<std::uint64_t, bool> ClusterSim::ClampHistory(SessionState& state,
   bool truncated = false;
   if (hist + new_tokens > window) {
     truncated = true;
-    // Keep the most recent (1 - ratio) fraction of the window for history.
+    // Keep the most recent (1 - kTruncationRatio) of the window for history.
     const auto keep = static_cast<std::uint64_t>(
-        static_cast<double>(window) * (1.0 - options_.truncation_ratio));
+        static_cast<double>(window) * (1.0 - kTruncationRatio));
     hist = std::min(hist, keep);
     if (hist + new_tokens > window) {
       // Very long new input: history gives way entirely.

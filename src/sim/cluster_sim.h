@@ -53,8 +53,6 @@ struct SimOptions {
   // §3.4: decoupled positional encoding. False = OF baseline (overflow
   // invalidates saved KV). Ignored in kRecompute mode.
   bool decoupled_pe = true;
-  // Fraction of the context window dropped on overflow (paper: 0.5).
-  double truncation_ratio = 0.5;
 
   // Scheduler-aware prefetching only exists with the scheduler-aware
   // policy; LRU/FIFO have no future knowledge (§4.3.3).

@@ -1505,6 +1505,7 @@ Result<std::vector<std::uint8_t>> AttentionStore::ReadPayload(SessionId session)
 }
 
 Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
+  CA_CHECK(config_.real_payloads) << "ExportRecord on a capacity-only store";
   CA_TRACE_SPAN("store.export", "session", session);
   if (records_.find(session) == records_.end()) {
     return NotFoundError("session " + std::to_string(session));
@@ -1514,16 +1515,13 @@ Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
   // below is only valid after a clean read. A session with shared chunks
   // exports its materialized full payload — self-contained by design, the
   // importing store knows nothing of this store's chunk registry.
-  std::vector<std::uint8_t> payload;
-  if (config_.real_payloads) {
-    CA_ASSIGN_OR_RETURN(payload, ReadPayload(session));
-  }
+  CA_ASSIGN_OR_RETURN(std::vector<std::uint8_t> payload, ReadPayload(session));
   const KvRecord& r = records_.at(session);
   ExportedRecord out;
   out.session = session;
   out.bytes = PayloadBytes(r);
   out.token_count = r.token_count;
-  out.checksum = config_.verify_checksums && !payload.empty() ? Checksum64(payload) : 0;
+  out.checksum = config_.verify_checksums ? Checksum64(payload) : 0;
   out.last_access = r.last_access;
   out.payload = std::move(payload);
   out.user_meta = r.user_meta;
@@ -1533,6 +1531,7 @@ Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
 
 Status AttentionStore::ImportRecord(const ExportedRecord& record, SimTime now,
                                     const SchedulerHints& hints) {
+  CA_CHECK(config_.real_payloads) << "ImportRecord on a capacity-only store";
   CA_TRACE_SPAN("store.import", "session", record.session, "bytes", record.bytes);
   if (record.session == kInvalidSession || record.bytes == 0) {
     return InvalidArgumentError("exported record is empty");
@@ -1541,32 +1540,28 @@ Status AttentionStore::ImportRecord(const ExportedRecord& record, SimTime now,
     return AlreadyExistsError("session " + std::to_string(record.session) +
                               " already resident; import never overwrites");
   }
-  Status placed;
-  if (config_.real_payloads) {
-    if (record.payload.size() != record.bytes) {
-      return InvalidArgumentError("exported payload size disagrees with its metadata");
-    }
-    // The payload comes from outside the store: it must split into whole
-    // tokens before it can become a token-addressed record.
-    if (record.token_count == 0 || record.bytes % record.token_count != 0) {
-      return InvalidArgumentError("exported payload of " + std::to_string(record.bytes) +
-                                  " bytes does not split into " +
-                                  std::to_string(record.token_count) + " whole tokens");
-    }
-    // Re-verify on the importing side: the checksum was stamped over the
-    // clean pre-transport bytes, so damage between export and import
-    // surfaces here, before any block is written.
-    if (config_.verify_checksums && record.checksum != 0 &&
-        Checksum64(record.payload) != record.checksum) {
-      ++stats_.corrupt_payloads;
-      return DataLossError("session " + std::to_string(record.session) +
-                           " import payload failed checksum re-verification");
-    }
-    SpanChunkSource source(record.payload, record.bytes / record.token_count);
-    placed = Put(record.session, source, /*dedup_tokens=*/{}, now, hints, record.user_meta);
-  } else {
-    placed = Put(record.session, record.bytes, record.token_count, now, hints, record.user_meta);
+  if (record.payload.size() != record.bytes) {
+    return InvalidArgumentError("exported payload size disagrees with its metadata");
   }
+  // The payload comes from outside the store: it must split into whole
+  // tokens before it can become a token-addressed record.
+  if (record.token_count == 0 || record.bytes % record.token_count != 0) {
+    return InvalidArgumentError("exported payload of " + std::to_string(record.bytes) +
+                                " bytes does not split into " +
+                                std::to_string(record.token_count) + " whole tokens");
+  }
+  // Re-verify on the importing side: the checksum was stamped over the
+  // clean pre-transport bytes, so damage between export and import
+  // surfaces here, before any block is written.
+  if (config_.verify_checksums && record.checksum != 0 &&
+      Checksum64(record.payload) != record.checksum) {
+    ++stats_.corrupt_payloads;
+    return DataLossError("session " + std::to_string(record.session) +
+                         " import payload failed checksum re-verification");
+  }
+  SpanChunkSource source(record.payload, record.bytes / record.token_count);
+  const Status placed =
+      Put(record.session, source, /*dedup_tokens=*/{}, now, hints, record.user_meta);
   if (placed.ok()) {
     ++stats_.imports;
   }

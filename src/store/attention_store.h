@@ -220,13 +220,12 @@ class ChunkedPayloadSink {
 // serialized onto a wire unchanged.
 struct ExportedRecord {
   SessionId session = kInvalidSession;
-  std::uint64_t bytes = 0;        // logical payload size (== payload.size() in real mode)
+  std::uint64_t bytes = 0;        // logical payload size (== payload.size())
   std::uint64_t token_count = 0;
   std::uint64_t checksum = 0;     // Checksum64 of payload; 0 when checksums are off
   SimTime last_access = 0;
-  // Empty on capacity-only stores. A session with shared chunks exports its
-  // materialized full payload (chunks + own bytes); the importer stores it
-  // as a private record.
+  // A session with shared chunks exports its materialized full payload
+  // (chunks + own bytes); the importer stores it as a private record.
   std::vector<std::uint8_t> payload;
   std::vector<std::uint8_t> user_meta;  // opaque caller blob (serialized token history)
 };
@@ -339,20 +338,19 @@ class AttentionStore {
 
   // --- Migration (DESIGN.md §16) ----------------------------------------
 
-  // Snapshots a record for migration to another store: reads and verifies
-  // the payload (real-payload mode; capacity-only stores export metadata
-  // with an empty payload) and carries the user-meta blob alongside. The
-  // record stays resident here — the export/import/remove sequence is the
-  // caller's protocol, so the KV survives if either side fails. Read
-  // failures propagate with ReadPayload's semantics (a permanent failure
-  // drops the record, making the miss consistent).
+  // Snapshots a record for migration to another store (real_payloads
+  // only): reads and verifies the payload and carries the user-meta blob
+  // alongside. The record stays resident here — the export/import/remove
+  // sequence is the caller's protocol, so the KV survives if either side
+  // fails. Read failures propagate with ReadPayload's semantics (a
+  // permanent failure drops the record, making the miss consistent).
   Result<ExportedRecord> ExportRecord(SessionId session);
 
-  // Installs an exported record into this store as if Put had been called
-  // with its payload (no dedup tokens) and user_meta. Never overwrites: a
-  // resident record for the same session returns kAlreadyExists (the
-  // router's re-pin protocol guarantees a session lives in exactly one shard
-  // store at a time). In real-payload mode the payload must split into
+  // Installs an exported record into this store (real_payloads only) as if
+  // Put had been called with its payload (no dedup tokens) and user_meta.
+  // Never overwrites: a resident record for the same session returns
+  // kAlreadyExists (the router's re-pin protocol guarantees a session lives
+  // in exactly one shard store at a time). The payload must split into
   // token_count whole tokens (kInvalidArgument otherwise) and its checksum
   // is re-verified before any byte is written — corruption in transit
   // surfaces as kDataLoss, not as a poisoned cache entry.

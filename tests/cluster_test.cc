@@ -342,7 +342,7 @@ TEST_F(ClusterTest, QuarantinedShardIsAutoDrainedByPollHealth) {
   copts.server.num_workers = 2;
   copts.health_poll_every = 0;  // poll explicitly below
   // Ring owner of session 0, computed the same way the router will.
-  ConsistentHashRing ring(copts.vnodes_per_shard);
+  ConsistentHashRing ring;
   for (ShardId s = 0; s < 4; ++s) {
     ring.AddShard(s);
   }

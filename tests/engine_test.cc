@@ -222,22 +222,6 @@ TEST_F(EngineTest, EndSessionForgets) {
   EXPECT_FALSE(r->cache_hit);
 }
 
-TEST_F(EngineTest, ForwardTurnReturnsLogitsAndAdvances) {
-  CachedAttentionEngine engine(&model_, DefaultOptions());
-  const std::size_t vocab = model_.config().vocab_size;
-  const auto tokens = MakeTokens(12, 3, vocab);
-  auto logits = engine.ForwardTurn(5, tokens);
-  ASSERT_TRUE(logits.ok());
-  EXPECT_EQ(logits->dim(0), 12U);
-  EXPECT_EQ(logits->dim(1), vocab);
-  EXPECT_EQ(engine.SessionHistory(5).size(), 12U);
-  // Second ForwardTurn reuses the cache.
-  auto logits2 = engine.ForwardTurn(5, MakeTokens(4, 4, vocab));
-  ASSERT_TRUE(logits2.ok());
-  EXPECT_EQ(engine.SessionHistory(5).size(), 16U);
-  EXPECT_GT(engine.stats().reused_tokens, 0ULL);
-}
-
 TEST_F(EngineTest, TurnLargerThanWindowRejected) {
   CachedAttentionEngine engine(&model_, DefaultOptions());
   const auto huge = MakeTokens(model_.config().context_window, 1, model_.config().vocab_size);

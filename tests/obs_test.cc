@@ -504,17 +504,24 @@ TEST_F(ObsTest, RepliesBitwiseIdenticalTracingOnVsOff) {
     ASSERT_EQ(r_traced->reply, r_plain->reply) << "turn " << turn;
   }
 
-  // Logits too, byte for byte.
+  // Logits too, byte for byte: a probe over the conversation's history.
+  const std::vector<TokenId> history = traced.SessionHistory(1);
+  ASSERT_EQ(history, plain.SessionHistory(1));
   const auto probe = MakeTokens(5, 99, model.config().vocab_size);
-  Tracer::Get().Enable();
-  auto l_traced = traced.ForwardTurn(2, probe);
-  Tracer::Get().Disable();
-  auto l_plain = plain.ForwardTurn(2, probe);
-  ASSERT_TRUE(l_traced.ok());
-  ASSERT_TRUE(l_plain.ok());
-  ASSERT_EQ(l_traced->span().size(), l_plain->span().size());
-  EXPECT_EQ(std::memcmp(l_traced->data(), l_plain->data(),
-                        l_traced->span().size() * sizeof(float)),
+  const auto probe_logits = [&](bool trace) {
+    KvCache cache = model.MakeCache(PeMode::kDecoupled);
+    if (trace) {
+      Tracer::Get().Enable();
+    }
+    (void)model.Forward(history, cache);
+    Tensor logits = model.Forward(probe, cache);
+    Tracer::Get().Disable();
+    return logits;
+  };
+  const Tensor l_traced = probe_logits(true);
+  const Tensor l_plain = probe_logits(false);
+  ASSERT_EQ(l_traced.span().size(), l_plain.span().size());
+  EXPECT_EQ(std::memcmp(l_traced.data(), l_plain.data(), l_traced.span().size() * sizeof(float)),
             0);
   EXPECT_GT(Tracer::Get().event_count(), 0U);  // tracing did actually record
 }

@@ -25,12 +25,11 @@
 //    a missed turn loads its shared prompt's chunks and prefills only the
 //    rest — bitwise equal to sharing off, with the input
 //    kept out of the read where every input row must be computed
-//    (ForwardTurn, kImportance compression), and with checksum faults on
+//    (kImportance compression), and with checksum faults on
 //    either the session's own piece or a shared chunk degrading to a
 //    shorter read or a full prefill.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -854,35 +853,6 @@ TEST(ShareEngine, CorruptChunkDuringPrefixReadFallsBackToFullPrefill) {
   EXPECT_EQ(on.store().stats().prefix_reads, 0U);
   EXPECT_GE(on.store().stats().fault_evictions, 1U);
   on.store().CheckInvariants();
-}
-
-// ForwardTurn returns the logits of every input position, so a warm prefix
-// may not stand in for its input: it still gets tokens.size() rows, equal
-// to sharing off.
-TEST(ShareEngine, ForwardTurnOnWarmPrefixReturnsEveryRow) {
-  Transformer model(ModelConfig::Mini(), 51);
-  const std::size_t vocab = model.config().vocab_size;
-  CachedAttentionEngine on(&model, ShareEngineOptions());
-  EngineOptions off_opts = ShareEngineOptions();
-  off_opts.store.share_prefixes = false;
-  CachedAttentionEngine off(&model, off_opts);
-
-  std::vector<TokenId> tokens = MakeTokens(24, 4242, vocab);
-  tokens.push_back(1);
-  ASSERT_TRUE(on.Converse(1, tokens, 6).ok());
-  ASSERT_TRUE(off.Converse(1, tokens, 6).ok());
-  ASSERT_GT(on.store().ChunkCount(), 0U);
-
-  tokens.back() = 2;
-  auto lon = on.ForwardTurn(2, tokens);
-  auto loff = off.ForwardTurn(2, tokens);
-  ASSERT_TRUE(lon.ok()) << lon.status();
-  ASSERT_TRUE(loff.ok()) << loff.status();
-  ASSERT_EQ(lon->dim(0), tokens.size());
-  ASSERT_EQ(lon->numel(), loff->numel());
-  EXPECT_TRUE(std::equal(lon->span().begin(), lon->span().end(), loff->span().begin()));
-  EXPECT_EQ(on.stats().reused_tokens, 0U);
-  EXPECT_EQ(on.store().stats().prefix_reads, 0U);
 }
 
 // KV-truncated caches are impure: the rows kept attended over the dropped

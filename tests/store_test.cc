@@ -419,21 +419,11 @@ TEST(AttentionStoreTest, ImportRejectsPayloadThatIsNotWholeTokens) {
 }
 
 TEST(AttentionStoreTest, ExportUnknownSessionIsNotFound) {
-  AttentionStore store(SmallConfig());
+  StoreConfig config = SmallConfig();
+  config.real_payloads = true;
+  AttentionStore store(config);
   const auto exported = store.ExportRecord(404);
   EXPECT_EQ(exported.status().code(), StatusCode::kNotFound);
-}
-
-TEST(AttentionStoreTest, CapacityOnlyExportImportMovesAccounting) {
-  AttentionStore source(SmallConfig());
-  AttentionStore target(SmallConfig());
-  ASSERT_TRUE(source.Put(1, MiB(4), 100, 0, kNoHints).ok());
-  auto exported = source.ExportRecord(1);
-  ASSERT_TRUE(exported.ok());
-  EXPECT_TRUE(exported->payload.empty());
-  ASSERT_TRUE(target.ImportRecord(*exported, 1, kNoHints).ok());
-  EXPECT_EQ(target.Lookup(1), Tier::kDram);
-  EXPECT_EQ(target.UsedBytes(Tier::kDram), MiB(4));
 }
 
 TEST(AttentionStoreTest, UserMetaRetainedWithoutDurability) {

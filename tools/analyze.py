@@ -32,9 +32,10 @@ single-pass tools/lint.py. Rules (see tools/README.md for rationale):
                  is fine; src/obs itself owns the clock.
   include-layering  `#include "src/<layer>/..."` edges must follow the layer
                  DAG in LAYER_DEPS (DESIGN.md §13): common → obs → tensor →
-                 model → store → core → sched → serve/sim. A lower layer
-                 including a higher one is how cyclic link dependencies and
-                 untestable seams start.
+                 model → store → core → sched → serve → cluster; sim sits
+                 on sched and workload, with no edge to core, serve or
+                 cluster. A lower layer including a higher one is how cyclic
+                 link dependencies and untestable seams start.
   guarded-field  in any class that owns a ca::Mutex, every mutable data
                  member must either carry CA_GUARDED_BY(...) (so Clang's
                  thread-safety analysis covers it) or an explicit
@@ -75,7 +76,7 @@ LAYER_DEPS: Dict[str, Set[str]] = {
     "sched": {"common", "obs", "store"},
     "serve": {"common", "obs", "tensor", "model", "store", "core", "sched"},
     "cluster": {"common", "obs", "tensor", "model", "store", "core", "sched", "serve"},
-    "sim": {"common", "obs", "tensor", "model", "store", "sched", "workload", "cluster"},
+    "sim": {"common", "obs", "tensor", "model", "store", "sched", "workload"},
 }
 
 

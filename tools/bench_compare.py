@@ -28,7 +28,9 @@ Two uses:
 Both raw google-benchmark JSON ({"benchmarks": [...]}) and the trajectory
 format written by --ingest ({"schema": "ca-bench-kernels-v1",
 "entries": [...]}) are accepted on the compare path; a trajectory file
-contributes its *last* entry.
+contributes its *last* entry. In raw JSON a benchmark that repeats
+(--benchmark_repetitions) contributes its best run, as the trajectory's
+entries are best-of-3 runs.
 """
 
 from __future__ import annotations
@@ -60,13 +62,15 @@ def extract_metrics(doc: dict) -> Dict[str, dict]:
             name = bench["name"]
             if name.endswith(AGGREGATE_SUFFIXES):
                 continue
-            out[name] = {
+            metrics = {
                 "real_time": bench["real_time"],
                 "cpu_time": bench.get("cpu_time"),
                 "time_unit": bench.get("time_unit", "ns"),
                 "items_per_second": bench.get("items_per_second"),
                 "bytes_per_second": bench.get("bytes_per_second"),
             }
+            if name not in out or (throughput_of(metrics)[0] or 0) > (throughput_of(out[name])[0] or 0):
+                out[name] = metrics
         return out
     raise ValueError("unrecognised benchmark JSON (no 'benchmarks' or known schema)")
 

@@ -49,6 +49,14 @@ class ExtractTest(unittest.TestCase):
         metrics = bench_compare.extract_metrics(doc)
         self.assertEqual(sorted(metrics), ["BM_A/8"])
 
+    def test_repeated_benchmark_keeps_best_run(self):
+        doc = throughput_doc({"BM_S": 5e9})
+        doc["benchmarks"] += throughput_doc({"BM_S": 7e9, "BM_S_mean": 6e9})["benchmarks"]
+        doc["benchmarks"] += throughput_doc({"BM_S": 6e9})["benchmarks"]
+        metrics = bench_compare.extract_metrics(doc)
+        self.assertEqual(sorted(metrics), ["BM_S"])
+        self.assertEqual(metrics["BM_S"]["bytes_per_second"], 7e9)
+
     def test_trajectory_uses_last_entry(self):
         doc = {
             "schema": bench_compare.SCHEMA,
