@@ -10,8 +10,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -57,20 +59,65 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(128)->Arg(256);
 
+// out[m,n] = a[m,k] @ b[n,k]^T at args {m, n, k}. Mini's projections are
+// (n, k) = (128, 128) for wq/wo, (256, 128) for w1/w3/lm_head and
+// (128, 256) for w2; m = 1 is a decode step (the row kernel), 3 one tile,
+// 48 a servebench prefill.
 void BM_MatMulTransposedB(benchmark::State& state) {
-  const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
   Rng rng(13);
-  const Tensor a = Tensor::Randn({dim, dim}, rng);
-  const Tensor bt = Tensor::Randn({dim, dim}, rng);
-  Tensor out({dim, dim});
+  const Tensor a = Tensor::Randn({m, k}, rng);
+  const Tensor bt = Tensor::Randn({n, k}, rng);
+  Tensor out({m, n});
   for (auto _ : state) {
     MatMulTransposedB(a, bt, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dim * dim * dim));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m * n * k));
 }
-BENCHMARK(BM_MatMulTransposedB)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_MatMulTransposedB)->Apply([](benchmark::internal::Benchmark* b) {
+  for (const std::int64_t m : {1, 3, 48}) {
+    for (const auto& [n, k] : {std::pair<std::int64_t, std::int64_t>{128, 128}, {256, 128},
+                               {128, 256}}) {
+      b->Args({m, n, k});
+    }
+  }
+});
+
+// One attention row's softmax at decode contexts (items = elements).
+void BM_SoftmaxRow(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(17);
+  const Tensor scores = Tensor::Randn({n}, rng, 4.0f);
+  std::vector<float> row(n);
+  for (auto _ : state) {
+    std::memcpy(row.data(), scores.data(), n * sizeof(float));
+    SoftmaxRow(row);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SoftmaxRow)->Arg(64)->Arg(192);
+
+// The FFN gate's SiLU over one row of Mini's d_ff (items = elements).
+void BM_SiluInPlace(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(19);
+  const Tensor gate = Tensor::Randn({1, n}, rng, 2.0f);
+  Tensor t({1, n});
+  for (auto _ : state) {
+    std::memcpy(t.data(), gate.data(), n * sizeof(float));
+    SiluInPlace(t);
+    benchmark::DoNotOptimize(t.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_SiluInPlace)->Arg(256);
 
 std::vector<TokenId> BenchTokens(std::size_t n) {
   Rng rng(3);

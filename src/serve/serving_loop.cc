@@ -66,6 +66,7 @@ JobId ServingLoop::Submit(ServeRequest request) {
     id = EnqueueLocked(std::move(request));
   }
   work_available_.NotifyOne();
+  refresh_wanted_.NotifyOne();
   return id;
 }
 
@@ -82,6 +83,7 @@ void ServingLoop::SubmitBehindRefreshForTesting(std::vector<ServeRequest> reques
     admit_after_pass_ = refresh_passes_done_ + 2;
   }
   work_available_.NotifyAll();
+  refresh_wanted_.NotifyOne();
 }
 
 std::optional<JobId> ServingLoop::TrySubmit(ServeRequest request) {
@@ -103,6 +105,7 @@ std::optional<JobId> ServingLoop::TrySubmit(ServeRequest request) {
     id = EnqueueLocked(std::move(request));
   }
   work_available_.NotifyOne();
+  refresh_wanted_.NotifyOne();
   return id;
 }
 
@@ -179,10 +182,19 @@ void ServingLoop::ServeJob(const Job& job, ServeRequest request) {
 
 void ServingLoop::RefreshLoop() {
   Tracer::Get().SetThreadName("serve-refresh");
-  while (!refresh_stop_.load(std::memory_order_acquire)) {
+  for (;;) {
     std::vector<SessionId> window;
     {
       MutexLock lock(mutex_);
+      // Sleep while there is nothing to publish: no queued job and no
+      // worker held behind a pass.
+      refresh_wanted_.Wait(mutex_, [this] {
+        mutex_.AssertHeld();
+        return refresh_stop_ || !queue_.empty() || refresh_passes_done_ < admit_after_pass_;
+      });
+      if (refresh_stop_) {
+        return;
+      }
       window = queue_.WindowSnapshot(kHintWindow);
     }
     if (!window.empty()) {
@@ -247,7 +259,11 @@ void ServingLoop::Shutdown() {
   for (std::thread& worker : workers_) {
     worker.join();
   }
-  refresh_stop_.store(true, std::memory_order_release);
+  {
+    MutexLock lock(mutex_);
+    refresh_stop_ = true;
+  }
+  refresh_wanted_.NotifyOne();
   refresh_thread_.join();
   engine_->Flush();
   joined_ = true;

@@ -15,7 +15,8 @@
 // A background refresh thread republishes the queue's look-ahead window
 // into the engine (SetQueueHint, feeding the §3.3.2 scheduler-aware
 // eviction), drives PrefetchSessions over the same window, then sleeps a
-// fixed interval before its next pass. §3.3.1 disk→DRAM promotion thus
+// fixed interval before its next pass; while the queue is empty it waits
+// for the next job instead. §3.3.1 disk→DRAM promotion thus
 // overlaps the workers' compute (the engine mutex is free during
 // prefill/decode) without spinning on the engine mutex.
 //
@@ -26,7 +27,6 @@
 #ifndef CA_SERVE_SERVING_LOOP_H_
 #define CA_SERVE_SERVING_LOOP_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -138,6 +138,7 @@ class ServingLoop {
   mutable Mutex mutex_{"serve.ServingLoop"};
   CondVar work_available_;  // workers: new job / session freed / stopping
   CondVar idle_;            // WaitIdle/Shutdown: completed_ caught up
+  CondVar refresh_wanted_;  // refresh thread: job queued / pass awaited / stop
   JobQueue queue_ CA_GUARDED_BY(mutex_);
   // Input payloads keyed by job id (Job itself stays the sched-layer value
   // type with token *counts*; the real tokens ride here).
@@ -156,7 +157,7 @@ class ServingLoop {
   std::uint64_t refresh_passes_done_ CA_GUARDED_BY(mutex_) = 0;
   std::uint64_t admit_after_pass_ CA_GUARDED_BY(mutex_) = 0;
 
-  std::atomic<bool> refresh_stop_{false};
+  bool refresh_stop_ CA_GUARDED_BY(mutex_) = false;
   bool joined_ = false;  // unguarded: Shutdown idempotence, main thread only
   std::vector<std::thread> workers_;  // unguarded: written in ctor, joined in Shutdown
   std::thread refresh_thread_;        // unguarded: written in ctor, joined in Shutdown

@@ -1522,7 +1522,6 @@ Result<ExportedRecord> AttentionStore::ExportRecord(SessionId session) {
   out.bytes = PayloadBytes(r);
   out.token_count = r.token_count;
   out.checksum = config_.verify_checksums ? Checksum64(payload) : 0;
-  out.last_access = r.last_access;
   out.payload = std::move(payload);
   out.user_meta = r.user_meta;
   ++stats_.exports;

@@ -223,7 +223,6 @@ struct ExportedRecord {
   std::uint64_t bytes = 0;        // logical payload size (== payload.size())
   std::uint64_t token_count = 0;
   std::uint64_t checksum = 0;     // Checksum64 of payload; 0 when checksums are off
-  SimTime last_access = 0;
   // A session with shared chunks exports its materialized full payload
   // (chunks + own bytes); the importer stores it as a private record.
   std::vector<std::uint8_t> payload;
@@ -353,7 +352,8 @@ class AttentionStore {
   // in exactly one shard store at a time). The payload must split into
   // token_count whole tokens (kInvalidArgument otherwise) and its checksum
   // is re-verified before any byte is written — corruption in transit
-  // surfaces as kDataLoss, not as a poisoned cache entry.
+  // surfaces as kDataLoss, not as a poisoned cache entry. The import counts
+  // as an access at `now`: a migrated session's recency restarts here.
   Status ImportRecord(const ExportedRecord& record, SimTime now, const SchedulerHints& hints);
 
   // --- Placement management ---------------------------------------------

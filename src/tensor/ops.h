@@ -30,14 +30,29 @@ void MatMulTransposedB(const Tensor& a, const Tensor& b, Tensor& out, ThreadPool
 // tensor (each row independently).
 void SoftmaxRows(Tensor& t);
 
-// In-place softmax of a single contiguous row.
+// In-place softmax of a single contiguous row. Defined as
+//   max_v = std::max over the row, in index order
+//   row[i] = std::exp(row[i] - max_v); sum += row[i], in index order
+//   row[i] *= 1.0f / sum
+// and bitwise-identical to that definition on every path (DESIGN.md §9).
 void SoftmaxRow(std::span<float> row);
 
 // RMSNorm: out[i] = x[i] / rms(x) * weight[i] over the last dim of each row.
 void RmsNormRows(const Tensor& x, std::span<const float> weight, Tensor& out, float eps = 1e-5f);
 
-// SiLU (x * sigmoid(x)), elementwise in place.
+// SiLU, elementwise in place: x / (1.0f + std::exp(-x)), bitwise on every
+// path.
 void SiluInPlace(Tensor& t);
+
+// SoftmaxRow and SiluInPlace take their exps from ExpF, an 8-lane
+// evaluation of glibc's expf, when the CPU has AVX2+FMA and a one-time
+// check finds ExpF bitwise equal to std::exp on a fixed sample; otherwise
+// they call std::exp. True when ExpF is in use.
+bool ExpFSelected();
+
+// y[i] = ExpF(x[i]) for spans of equal length; for tests and benchmarks.
+// CA_CHECKs ExpFSelected().
+void ExpFArray(std::span<const float> x, std::span<float> y);
 
 // out = a + b elementwise.
 void Add(const Tensor& a, const Tensor& b, Tensor& out);

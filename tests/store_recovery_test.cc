@@ -44,17 +44,7 @@ namespace {
 
 const SchedulerHints kNoHints;
 
-void RemoveStoreFiles(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".meta").c_str());
-  std::remove((path + ".meta.tmp").c_str());
-}
-
-std::string StorePath(const std::string& name) {
-  const std::string path = testing::TempDir() + "/ca_recovery_" + name + ".blocks";
-  RemoveStoreFiles(path);
-  return path;
-}
+std::string StorePath(const std::string& name) { return TempStorePath("recovery", name); }
 
 void CopyFile(const std::string& from, const std::string& to) {
   std::ifstream in(from, std::ios::binary);

@@ -2,8 +2,13 @@
 #ifndef CA_TESTS_STORE_TEST_UTIL_H_
 #define CA_TESTS_STORE_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -44,6 +49,35 @@ inline Result<std::vector<std::uint8_t>> ReadBytes(BlockStorage& storage,
   sink.data.reserve(extent.byte_length);
   CA_RETURN_IF_ERROR(storage.Read(extent, sink));
   return std::move(sink.data);
+}
+
+// Removes a durable store's block file and its journal (.meta, .meta.tmp).
+inline void RemoveStoreFiles(const std::string& path) {
+  std::remove(path.c_str());
+  std::remove((path + ".meta").c_str());
+  std::remove((path + ".meta.tmp").c_str());
+}
+
+// Block-file path for a durable store under testing::TempDir():
+// ca_<suite>_<name>.<pid>.blocks, so suites running at the same time never
+// share files. Removes stale files of that name now, and the block file
+// and its journal again when the process exits, so a test run leaves
+// nothing behind.
+inline std::string TempStorePath(const std::string& suite, const std::string& name) {
+  struct RemoveAtExit {
+    std::vector<std::string> paths;
+    ~RemoveAtExit() {
+      for (const std::string& path : paths) {
+        RemoveStoreFiles(path);
+      }
+    }
+  };
+  static RemoveAtExit created;
+  std::string path = testing::TempDir() + "/ca_" + suite + "_" + name + "." +
+                     std::to_string(::getpid()) + ".blocks";
+  RemoveStoreFiles(path);
+  created.paths.push_back(path);
+  return path;
 }
 
 }  // namespace ca

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -276,6 +280,38 @@ INSTANTIATE_TEST_SUITE_P(OddShapes, ParallelMatMulShapes,
                                            std::make_tuple(13, 31, 17),  // prime everything
                                            std::make_tuple(64, 33, 66)));
 
+// MatMulTransposedB computes rows in 3x4 tiles where it can; a one-row
+// call takes the row kernel alone. Every output must be bitwise the row
+// kernel's, serial and pooled: m 1..7 covers no tile, whole tiles and
+// leftover rows, n 1..9 leftover columns, and k % 8 != 0 the scalar tail.
+TEST(OpsTest, TiledMatMulTransposedBMatchesRowKernel) {
+  ThreadPool pool(4);
+  for (const std::size_t k : {8UL, 13UL, 128UL, 256UL}) {
+    for (const std::size_t n : {1UL, 2UL, 3UL, 4UL, 5UL, 6UL, 7UL, 8UL, 9UL, 64UL, 257UL}) {
+      for (std::size_t m = 1; m <= 7; ++m) {
+        SCOPED_TRACE(testing::Message() << "m=" << m << " n=" << n << " k=" << k);
+        Rng rng(m * 100003 + n * 101 + k);
+        const Tensor a = Tensor::Randn({m, k}, rng);
+        const Tensor bt = Tensor::Randn({n, k}, rng);
+        Tensor by_row({m, n});
+        for (std::size_t i = 0; i < m; ++i) {
+          Tensor arow({1, k});
+          std::memcpy(arow.data(), a.row(i), k * sizeof(float));
+          Tensor orow({1, n});
+          MatMulTransposedB(arow, bt, orow);
+          std::memcpy(by_row.row(i), orow.data(), n * sizeof(float));
+        }
+        Tensor serial({m, n});
+        Tensor pooled({m, n});
+        MatMulTransposedB(a, bt, serial);
+        MatMulTransposedB(a, bt, pooled, &pool);
+        EXPECT_EQ(std::memcmp(serial.data(), by_row.data(), m * n * sizeof(float)), 0);
+        EXPECT_EQ(std::memcmp(pooled.data(), by_row.data(), m * n * sizeof(float)), 0);
+      }
+    }
+  }
+}
+
 // --- Attention kernel: bitwise-identical to its definition ---------------
 //
 // AttendHead's SIMD path must reproduce the scalar definition bit for bit
@@ -324,6 +360,137 @@ TEST_P(AttendHeadShapes, BitwiseMatchesDefinition) {
 INSTANTIATE_TEST_SUITE_P(HeadDimsContexts, AttendHeadShapes,
                          ::testing::Combine(::testing::Values(4UL, 6UL, 8UL, 16UL, 32UL),
                                             ::testing::Values(1UL, 3UL, 4UL, 5UL, 17UL, 256UL)));
+
+// --- ExpF: bitwise std::exp ----------------------------------------------
+//
+// SoftmaxRow and SiluInPlace take their exps from ExpF only where it is
+// selected (DESIGN.md §9); these cases check it against the libm the test
+// runs with and skip where it is not selected.
+
+// Number of xs whose ExpF differs from std::exp in any bit; prints the
+// first few.
+std::size_t CountExpFMismatches(const std::vector<float>& xs) {
+  std::vector<float> ys(xs.size());
+  ExpFArray(xs, ys);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float want = std::exp(xs[i]);
+    if (std::bit_cast<std::uint32_t>(ys[i]) != std::bit_cast<std::uint32_t>(want)) {
+      if (++mismatches <= 8) {
+        ADD_FAILURE() << std::hexfloat << "ExpF(" << xs[i] << ") = " << ys[i]
+                      << ", std::exp = " << want;
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(ExpFTest, MatchesStdExpOnStridedSweep) {
+  if (!ExpFSelected()) {
+    GTEST_SKIP() << "ExpF is not selected (no AVX2+FMA, or its check against std::exp failed)";
+  }
+  // Every 4099th bit pattern (a prime stride, so the low mantissa bits
+  // vary), about a million inputs across both signs and every exponent.
+  std::vector<float> xs;
+  for (std::uint64_t bits = 0; bits < (1ULL << 32); bits += 4099) {
+    xs.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(bits)));
+  }
+  EXPECT_EQ(CountExpFMismatches(xs), 0U);
+}
+
+TEST(ExpFTest, MatchesStdExpAtBoundaries) {
+  if (!ExpFSelected()) {
+    GTEST_SKIP() << "ExpF is not selected (no AVX2+FMA, or its check against std::exp failed)";
+  }
+  std::vector<float> xs;
+  const auto around = [&xs](std::uint32_t bits) {
+    for (std::uint32_t b = bits - 2; b != bits + 3; ++b) {
+      xs.push_back(std::bit_cast<float>(b));
+    }
+  };
+  around(0x00000002U);  // +0 and the smallest positive subnormals
+  around(0x80000002U);  // -0 and the smallest negative subnormals
+  around(0x00800000U);  // the subnormal / normal edge
+  around(0x80800000U);
+  around(0x42b00000U);  // 88: the main path's upper edge
+  around(0xc2b00000U);  // -88
+  around(0x42b17218U);  // 88.72: exp overflows above it
+  around(0xc2aeac50U);  // -87.34: results turn subnormal below it
+  around(0xc2cff1b5U);  // -103.97: exp underflows to 0 below it
+  around(0x7f800002U);  // +inf and the NaNs beside it
+  around(0xff800002U);  // -inf and the NaNs beside it
+  xs.push_back(std::numeric_limits<float>::quiet_NaN());
+  xs.push_back(-std::numeric_limits<float>::quiet_NaN());
+  xs.push_back(std::numeric_limits<float>::max());
+  xs.push_back(std::numeric_limits<float>::lowest());
+  EXPECT_EQ(CountExpFMismatches(xs), 0U);
+}
+
+// Every float: about 50 s on one core, so it runs only when asked for
+// (--gtest_also_run_disabled_tests; CI's release job does). It shows
+// whether the sampled self-check that selected ExpF was fooled by the libm
+// the test runs with.
+TEST(ExpFTest, DISABLED_MatchesStdExpOnEveryFloat) {
+  if (!ExpFSelected()) {
+    GTEST_SKIP() << "ExpF is not selected (no AVX2+FMA, or its check against std::exp failed)";
+  }
+  constexpr std::uint64_t kBlock = 1 << 20;
+  std::vector<float> xs(kBlock);
+  std::size_t mismatches = 0;
+  for (std::uint64_t base = 0; base < (1ULL << 32); base += kBlock) {
+    for (std::uint64_t i = 0; i < kBlock; ++i) {
+      xs[i] = std::bit_cast<float>(static_cast<std::uint32_t>(base + i));
+    }
+    mismatches += CountExpFMismatches(xs);
+  }
+  EXPECT_EQ(mismatches, 0U);
+}
+
+// SoftmaxRow and SiluInPlace against their scalar definitions (ops.h), for
+// every length around the 8-lane step. Wide inputs send some exps through
+// the special-case lanes (|x| >= 88).
+TEST(OpsTest, SoftmaxRowMatchesDefinition) {
+  for (const float spread : {1.0f, 8.0f, 60.0f}) {
+    for (std::size_t n = 1; n <= 40; ++n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " spread=" << spread);
+      Rng rng(n * 31 + static_cast<std::size_t>(spread));
+      const Tensor x = Tensor::Randn({n}, rng, spread);
+      std::vector<float> got(x.data(), x.data() + n);
+      std::vector<float> want = got;
+      SoftmaxRow(got);
+      float max_v = -INFINITY;
+      for (const float v : want) {
+        max_v = std::max(max_v, v);
+      }
+      float sum = 0.0f;
+      for (float& v : want) {
+        v = std::exp(v - max_v);
+        sum += v;
+      }
+      const float inv = 1.0f / sum;
+      for (float& v : want) {
+        v *= inv;
+      }
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    }
+  }
+}
+
+TEST(OpsTest, SiluInPlaceMatchesDefinition) {
+  for (const float spread : {1.0f, 8.0f, 60.0f}) {
+    for (std::size_t n = 1; n <= 40; ++n) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " spread=" << spread);
+      Rng rng(n * 37 + static_cast<std::size_t>(spread));
+      Tensor got = Tensor::Randn({n}, rng, spread);
+      std::vector<float> want(got.data(), got.data() + n);
+      SiluInPlace(got);
+      for (float& v : want) {
+        v = v / (1.0f + std::exp(-v));
+      }
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    }
+  }
+}
 
 // --- ScratchArena ---------------------------------------------------------
 
