@@ -185,14 +185,6 @@ std::uint64_t ChecksumWithKernel(std::span<const std::uint8_t> bytes, bool use_a
 
 }  // namespace internal
 
-bool ChunkedHashUsesAvx2() {
-#ifdef CA_HASH_X86
-  return ActiveGroupKernel() == &FoldGroupsAvx2;
-#else
-  return false;
-#endif
-}
-
 bool ChunkedHashAvx2Available() { return CpuHasAvx2(); }
 
 void ChunkedHash64::Reset() {

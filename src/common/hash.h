@@ -75,10 +75,6 @@ class ChunkedHash64 {
 // One-shot convenience over ChunkedHash64 (the read-side verifier).
 std::uint64_t Checksum64(std::span<const std::uint8_t> bytes);
 
-// Exposed for tests: true when the boot-time shootout selected the AVX2
-// bulk kernel (implies ChunkedHashAvx2Available()).
-bool ChunkedHashUsesAvx2();
-
 // True when this CPU can run the AVX2 bulk kernel at all, regardless of
 // which kernel the shootout picked. Gates the forced-AVX2 test/bench rows.
 bool ChunkedHashAvx2Available();

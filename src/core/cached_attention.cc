@@ -22,46 +22,20 @@ double SecondsSince(std::uint64_t start_ns) {
   return static_cast<double>(TraceNowNs() - start_ns) * 1e-9;
 }
 
-// Adapters marrying the model-layer wire-form cursors to the store's
+// Adapter marrying the model-layer wire-form deserializer to the store's
 // payload protocol. The model cannot depend on the store (layering DAG) and
 // vice versa, so the glue lives here in core.
-
-// The store's view of the live cache: Put pulls exactly the token ranges it
-// must write, each through a fresh TokenMajorSerializer cursor, so the KV
-// bytes go tensors → tier block memory in one pass and dedup hits are never
-// serialized at all.
-class CacheChunkSource final : public ChunkedPayloadSource, private PayloadSource {
- public:
-  explicit CacheChunkSource(const KvCache& cache) : cache_(&cache) {}
-
-  std::uint64_t total_tokens() const override { return cache_->seq_len(); }
-  std::uint64_t bytes_per_token() const override { return cache_->token_major_bytes_per_token(); }
-  PayloadSource& Range(std::uint64_t token_begin, std::uint64_t token_end) override {
-    cursor_.emplace(*cache_, static_cast<std::size_t>(token_begin),
-                    static_cast<std::size_t>(token_end));
-    return *this;
-  }
-
- private:
-  // PayloadSource over the current range.
-  std::uint64_t size() const override { return cursor_->size(); }
-  void Reset() override { cursor_->Reset(); }
-  void Fill(std::span<std::uint8_t> dest) override { cursor_->Fill(dest); }
-
-  const KvCache* cache_;
-  std::optional<KvCache::TokenMajorSerializer> cursor_;
-};
-
-// Load side: the store streams tier bytes straight into the deserializer,
-// which parses into the final tensor storage. Open() sizes it: an
-// own-record load opens at the record's token count, a prefix read at the
-// count the store matched.
+//
+// The store streams tier bytes straight into the deserializer, which parses
+// into the final tensor storage. Open() sizes it: an own-record load opens
+// at the record's token count, a prefix read at the count the store
+// matched.
 class CacheChunkSink final : public ChunkedPayloadSink, private PayloadSink {
  public:
-  CacheChunkSink(const ModelConfig& config, PeMode pe_mode) : config_(&config), pe_mode_(pe_mode) {}
+  explicit CacheChunkSink(const ModelConfig& config) : config_(&config) {}
 
   PayloadSink& Open(std::uint64_t tokens) override {
-    deserializer_.emplace(*config_, pe_mode_, static_cast<std::size_t>(tokens));
+    deserializer_.emplace(*config_, PeMode::kDecoupled, static_cast<std::size_t>(tokens));
     return *this;
   }
   bool opened() const { return deserializer_.has_value(); }
@@ -73,7 +47,6 @@ class CacheChunkSink final : public ChunkedPayloadSink, private PayloadSink {
   void Consume(std::span<const std::uint8_t> chunk) override { deserializer_->Consume(chunk); }
 
   const ModelConfig* config_;
-  PeMode pe_mode_;
   std::optional<KvCache::TokenMajorDeserializer> deserializer_;
 };
 
@@ -314,7 +287,7 @@ std::optional<KvCache> CachedAttentionEngine::LoadCache(
   // its shape travels out of band (token count + engine PE mode). On any
   // non-OK read the half-built deserializer state is simply never
   // Finish()ed, which is the discard the sink contract requires.
-  CacheChunkSink sink(model_->config(), pe_mode());
+  CacheChunkSink sink(model_->config());
   Status status;
   {
     MutexLock lock(mutex_);
@@ -346,8 +319,7 @@ std::optional<KvCache> CachedAttentionEngine::LoadCache(
 
 Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, SessionState& state,
                                                         std::span<const TokenId> input,
-                                                        bool input_from_chunks, KvCache& cache,
-                                                        TurnResult& result) {
+                                                        KvCache& cache, TurnResult& result) {
   const std::size_t incoming_tokens = input.size();
   const std::size_t window = model_->config().context_window;
   if (incoming_tokens >= window) {
@@ -361,8 +333,7 @@ Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, Sessi
   std::size_t drop = 0;
   if (state.history.size() + incoming_tokens > window) {
     result.truncated = true;
-    CA_TRACE_INSTANT("engine.overflow", "session", session, "policy",
-                     static_cast<int>(options_.overflow_policy));
+    CA_TRACE_INSTANT("engine.overflow", "session", session);
     // Drop kTruncationRatio of the window, or more if the new input still
     // would not fit.
     drop = static_cast<std::size_t>(kTruncationRatio * static_cast<double>(window));
@@ -374,49 +345,38 @@ Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, Sessi
   bool cache_loaded = false;
 
   if (options_.reuse_kv) {
-    if (result.truncated && options_.overflow_policy == OverflowPolicy::kInvalidate) {
-      WaitForPendingSave(session);
+    WaitForPendingSave(session);
+    CA_TRACE_SPAN("store.lookup", "session", session);
+    std::optional<KvRecordInfo> info;
+    {
       MutexLock lock(mutex_);
-      store_.Remove(session);
+      info = store_.Access(session, WallNow());
     }
-    // TT: truncation operates on token text; the stored KV (embedded at
-    // old positions in a conventional engine) is unusable — recompute.
-    const bool text_truncated =
-        result.truncated && options_.overflow_policy == OverflowPolicy::kTokenTruncate;
-    if (!text_truncated) {
-      WaitForPendingSave(session);
-      CA_TRACE_SPAN("store.lookup", "session", session);
-      std::optional<KvRecordInfo> info;
-      {
-        MutexLock lock(mutex_);
-        info = store_.Access(session, WallNow());
-      }
-      if (info.has_value()) {
-        std::optional<KvCache> loaded_cache = LoadCache(
-            session,
-            [&](ChunkedPayloadSink& sink) {
-              mutex_.AssertHeld();
-              return store_.ReadPayloadInto(session, sink.Open(info->token_count));
-            },
-            result);
-        if (loaded_cache.has_value() && loaded_cache->seq_len() != pre_drop_history) {
-          CA_LOG(Warn) << "session " << session << " cache holds " << loaded_cache->seq_len()
-                       << " tokens, history is " << pre_drop_history << "; recomputing";
-        } else if (loaded_cache.has_value()) {
-          cache = std::move(*loaded_cache);
-          // KV cache truncation (valid for decoupled PE; deliberately
-          // corrupting for the coupled-PE NKVT baseline).
-          if (drop > 0) {
-            cache.TruncateFront(drop);
-            // The surviving rows attended over the dropped context; a fresh
-            // prefill of the truncated history would not reproduce them, so
-            // this cache must stay out of the shared prefix index.
-            state.kv_pure = false;
-          }
-          cache_loaded = true;
-          result.cache_hit = true;
-          result.hit_tier = info->tier;
+    if (info.has_value()) {
+      std::optional<KvCache> loaded_cache = LoadCache(
+          session,
+          [&](ChunkedPayloadSink& sink) {
+            mutex_.AssertHeld();
+            return store_.ReadPayloadInto(session, sink.Open(info->token_count));
+          },
+          result);
+      if (loaded_cache.has_value() && loaded_cache->seq_len() != pre_drop_history) {
+        CA_LOG(Warn) << "session " << session << " cache holds " << loaded_cache->seq_len()
+                     << " tokens, history is " << pre_drop_history << "; recomputing";
+      } else if (loaded_cache.has_value()) {
+        cache = std::move(*loaded_cache);
+        // KV cache truncation: decoupled PE re-embeds the survivors at
+        // their new positions, so the truncated cache stays valid (§3.4).
+        if (drop > 0) {
+          cache.TruncateFront(drop);
+          // The surviving rows attended over the dropped context; a fresh
+          // prefill of the truncated history would not reproduce them, so
+          // this cache must stay out of the shared prefix index.
+          state.kv_pure = false;
         }
+        cache_loaded = true;
+        result.cache_hit = true;
+        result.hit_tier = info->tier;
       }
     }
   }
@@ -442,9 +402,7 @@ Result<std::size_t> CachedAttentionEngine::PrepareCache(SessionId session, Sessi
     // prefill of the same tokens, so they equal what the prefill below would
     // compute, bit for bit.
     std::vector<TokenId> prompt = state.history;
-    if (input_from_chunks) {
-      prompt.insert(prompt.end(), input.begin(), input.end());
-    }
+    prompt.insert(prompt.end(), input.begin(), input.end());
     std::optional<KvCache> prefix = LoadCache(
         session,
         [&](ChunkedPayloadSink& sink) {
@@ -480,24 +438,15 @@ Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,
   CA_TRACE_SPAN("engine.turn", "session", session, "input", user_tokens.size());
   const std::uint64_t start_ns = TraceNowNs();
 
-  // Importance scoring for the kImportance compression policy accumulates
-  // the attention mass every cached token receives during this turn. The
-  // observer must see every input row, so then only the history may come
-  // from shared chunks.
-  AttentionMassAccumulator mass;
-  AttentionObserver* observer =
-      options_.compression.policy == CompressionPolicy::kImportance ? &mass : nullptr;
-
-  KvCache cache = model_->MakeCache(pe_mode());
+  KvCache cache = model_->MakeCache(PeMode::kDecoupled);
   CA_ASSIGN_OR_RETURN(const std::size_t cached_input,
-                      PrepareCache(session, state, user_tokens,
-                                   /*input_from_chunks=*/observer == nullptr, cache, result));
+                      PrepareCache(session, state, user_tokens, cache, result));
 
   // Prefill only the input the cache does not hold yet.
   const std::span<const TokenId> uncached = user_tokens.subspan(cached_input);
   Tensor logits = [&] {
     CA_TRACE_SPAN("engine.prefill", "tokens", uncached.size());
-    return model_->Forward(uncached, cache, observer);
+    return model_->Forward(uncached, cache);
   }();
   result.computed_tokens += uncached.size();
   result.prompt_tokens = state.history.size() + user_tokens.size();
@@ -516,7 +465,7 @@ Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,
         break;  // last token needs no further forward
       }
       const TokenId tok[] = {next};
-      const Tensor step = model_->Forward(tok, cache, observer);
+      const Tensor step = model_->Forward(tok, cache);
       next = model_->Argmax(step, 0);
     }
 
@@ -525,7 +474,7 @@ Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,
     // the saved KV matches the full visible history.
     if (!result.reply.empty() && cache.seq_len() < window) {
       const TokenId tok[] = {result.reply.back()};
-      (void)model_->Forward(tok, cache, observer);
+      (void)model_->Forward(tok, cache);
     } else if (!result.reply.empty()) {
       // No room to embed the last reply token; drop it from the visible
       // history so text and KV stay aligned.
@@ -538,7 +487,6 @@ Result<TurnResult> CachedAttentionEngine::Converse(SessionId session,
   CA_CHECK_EQ(state.history.size(), cache.seq_len());
 
   if (options_.reuse_kv) {
-    result.compressed_tokens = MaybeCompress(state, cache, mass.mass());
     SaveCache(session, cache, state);
   }
 
@@ -554,7 +502,6 @@ void CachedAttentionEngine::AccumulateTurnStats(const TurnResult& result) {
     stats_.computed_tokens += result.computed_tokens;
     stats_.reused_tokens += result.reused_tokens;
     stats_.truncations += result.truncated ? 1 : 0;
-    stats_.compressed_tokens += result.compressed_tokens;
     stats_.cache_load_faults += result.cache_load_fault ? 1 : 0;
     stats_.prefill_seconds += result.prefill_seconds;
   }
@@ -567,52 +514,27 @@ EngineStats CachedAttentionEngine::stats() const {
   return stats_;
 }
 
-std::size_t CachedAttentionEngine::MaybeCompress(SessionState& state, KvCache& cache,
-                                                 std::span<const float> importance) {
-  if (options_.compression.policy == CompressionPolicy::kNone ||
-      cache.pe_mode() != PeMode::kDecoupled) {
-    return 0;
-  }
-  const auto discard =
-      BuildTokenDiscardList(options_.compression, cache.seq_len(), importance);
-  if (discard.empty()) {
-    return 0;
-  }
-  cache.DiscardTokens(discard);
-  // The kept rows were computed attending over the discarded ones: not the
-  // pure prefill of the compressed history, so no prefix sharing for this
-  // cache (SaveCache stores it whole as the session's own piece).
-  state.kv_pure = false;
-  // Keep the visible token history aligned with the cache: drop the same
-  // positions (discard indices are strictly increasing).
-  std::vector<TokenId> kept;
-  kept.reserve(state.history.size() - discard.size());
-  std::size_t next_discard = 0;
-  for (std::size_t i = 0; i < state.history.size(); ++i) {
-    if (next_discard < discard.size() && discard[next_discard] == i) {
-      ++next_discard;
-      continue;
-    }
-    kept.push_back(state.history[i]);
-  }
-  state.history = std::move(kept);
-  CA_CHECK_EQ(state.history.size(), cache.seq_len());
-  return discard.size();
-}
-
 void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
                                       const SessionState& state) {
   if (cache.seq_len() == 0) {
     return;
   }
   CA_CHECK_EQ(state.history.size(), cache.seq_len());
+  // Serialize once, outside the engine mutex: the wire bytes go to the
+  // store as a SpanChunkSource whether the Put runs inline or on the write
+  // stream, which outlives this turn's cache.
+  std::vector<std::uint8_t> payload = cache.SerializeTokenMajor();
+  const std::uint64_t bytes_per_token = cache.token_major_bytes_per_token();
   // Prefix sharing (DESIGN.md §17): a pure cache hands the store its token
   // history, so identical history prefixes dedup across sessions when the
-  // store shares prefixes. An impure one (KV-truncated or compressed rows)
-  // is stored whole as the session's own piece. Replies stay
-  // bitwise-identical either way — sharing only changes where bytes live.
-  const std::span<const std::uint32_t> dedup_tokens =
-      state.kv_pure ? TokenBits(state.history) : std::span<const std::uint32_t>{};
+  // store shares prefixes. An impure (KV-truncated) one is stored whole as
+  // the session's own piece. Replies stay bitwise-identical either way —
+  // sharing only changes where bytes live.
+  std::vector<std::uint32_t> dedup_tokens;
+  if (state.kv_pure) {
+    const std::span<const std::uint32_t> bits = TokenBits(state.history);
+    dedup_tokens.assign(bits.begin(), bits.end());
+  }
   // Durable stores persist the visible history and purity bit next to the
   // payload so a restarted process can rebuild the session
   // (RestoreSessions). The journal treats the blob as opaque.
@@ -620,24 +542,23 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
   if (options_.store.durable) {
     user_meta = EncodeHistoryMeta(state.history, state.kv_pure);
   }
-  if (write_stream_ == nullptr) {
-    MutexLock lock(mutex_);
-    CacheChunkSource source(cache);
-    CA_TRACE_SPAN("engine.save", "session", session, "tokens", cache.seq_len());
-    const Status s =
-        store_.Put(session, source, dedup_tokens, WallNow(), CurrentHintsLocked(), user_meta);
+  // The one Put; runs under the engine mutex.
+  const auto put = [this, session, bytes_per_token](std::span<const std::uint8_t> bytes,
+                                                    std::span<const std::uint32_t> dedup,
+                                                    std::span<const std::uint8_t> meta) {
+    mutex_.AssertHeld();
+    SpanChunkSource source(bytes, bytes_per_token);
+    const Status s = store_.Put(session, source, dedup, WallNow(), CurrentHintsLocked(), meta);
     if (!s.ok()) {
       CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
     }
+  };
+  if (write_stream_ == nullptr) {
+    MutexLock lock(mutex_);
+    CA_TRACE_SPAN("engine.save", "session", session, "tokens", cache.seq_len());
+    put(payload, dedup_tokens, user_meta);
     return;
   }
-  // Serialize now: the cache buffer is only valid during this turn, and the
-  // async stream outlives it, so the payload must be materialised before it
-  // crosses threads (the store side still moves vector → tier without a
-  // further copy). The dedup tokens are copied for the same reason.
-  std::vector<std::uint8_t> payload = cache.SerializeTokenMajor();
-  std::vector<std::uint32_t> dedup_copy(dedup_tokens.begin(), dedup_tokens.end());
-  const std::uint64_t bytes_per_token = cache.token_major_bytes_per_token();
   // Asynchronous write stream (§3.2.2): the save overlaps the caller's next
   // work; readers of this session block in WaitForPendingSave until it
   // lands. The flow link ties the serving thread's enqueue to the save span
@@ -650,18 +571,14 @@ void CachedAttentionEngine::SaveCache(SessionId session, const KvCache& cache,
     MutexLock lock(mutex_);
     pending_saves_.insert(session);
   }
-  write_stream_->Submit([this, session, flow, bytes_per_token, payload = std::move(payload),
-                         dedup_copy = std::move(dedup_copy), user_meta = std::move(user_meta)] {
+  write_stream_->Submit([this, session, flow, put, payload = std::move(payload),
+                         dedup_tokens = std::move(dedup_tokens),
+                         user_meta = std::move(user_meta)] {
     {
       CA_TRACE_SPAN("engine.save.async", "session", session, "bytes", payload.size());
       CA_TRACE_FLOW_END("engine.save.async", flow);
       MutexLock lock(mutex_);
-      SpanChunkSource source(payload, bytes_per_token);
-      const Status s =
-          store_.Put(session, source, dedup_copy, WallNow(), CurrentHintsLocked(), user_meta);
-      if (!s.ok()) {
-        CA_LOG(Debug) << "KV save for session " << session << " dropped: " << s;
-      }
+      put(payload, dedup_tokens, user_meta);
       pending_saves_.erase(session);
     }
     save_done_.NotifyAll();
@@ -714,7 +631,6 @@ void CachedAttentionEngine::PublishMetrics(MetricsRegistry* registry) const {
   gauge("engine_stats.computed_tokens", static_cast<double>(snapshot.computed_tokens));
   gauge("engine_stats.reused_tokens", static_cast<double>(snapshot.reused_tokens));
   gauge("engine_stats.truncations", static_cast<double>(snapshot.truncations));
-  gauge("engine_stats.compressed_tokens", static_cast<double>(snapshot.compressed_tokens));
   gauge("engine_stats.cache_load_faults", static_cast<double>(snapshot.cache_load_faults));
   gauge("engine_stats.prefill_seconds", snapshot.prefill_seconds);
   gauge("engine_stats.reuse_fraction", snapshot.reuse_fraction());

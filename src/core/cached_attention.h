@@ -3,10 +3,8 @@
 //
 // A conversation session is served turn by turn. At each turn the engine
 //   1. applies context-window management (§3.4): on overflow it truncates
-//      either the token text (TT / recompute baselines) or the KV cache
-//      directly (valid under decoupled PE; deliberately corrupting under
-//      coupled PE — the NKVT baseline; or invalidating the cache entirely —
-//      the OF baseline);
+//      the loaded KV cache directly, which decoupled positional encoding
+//      keeps valid;
 //   2. looks the session's KV cache up in AttentionStore and, on a hit,
 //      prefills only the new tokens (CachedAttention). On a miss with prefix
 //      sharing on, it loads the longest run of shared chunks that prefixes
@@ -14,10 +12,15 @@
 //      recompute mode, or when no chunk matches, it prefills the whole
 //      history and input;
 //   3. decodes a reply, then saves the session's KV cache back to
-//      AttentionStore (synchronously or on the asynchronous write stream).
+//      AttentionStore (inline or on the asynchronous write stream).
 //
-// All baselines of §4.3.5 are expressible through EngineOptions, which is
-// what the Table-1/2 fidelity benches rely on.
+// The recompute baseline (RE) is `reuse_kv = false`. The other baselines of
+// §4.3.4–§4.3.5 are measured outside the engine: token truncation (TT) and
+// naive KV truncation of a coupled-PE cache (NKVT) on the model by
+// bench/tab01_ppl_fidelity, bench/tab02_truncation_accuracy and
+// examples/truncation_lab, overflow invalidation (OF) in the simulator by
+// bench/fig22_context_overflow, and token-discarding-list compression by
+// bench/ablation_kv_compression.
 #ifndef CA_CORE_CACHED_ATTENTION_H_
 #define CA_CORE_CACHED_ATTENTION_H_
 
@@ -34,7 +37,6 @@
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
 #include "src/common/thread_pool.h"
-#include "src/model/compression.h"
 #include "src/model/kv_cache.h"
 #include "src/model/transformer.h"
 #include "src/obs/metrics.h"
@@ -42,34 +44,13 @@
 
 namespace ca {
 
-// What happens to a session's saved KV cache when the context window
-// overflows.
-enum class OverflowPolicy {
-  // Truncate the token text and recompute from scratch (the paper's TT and
-  // the RE baseline's behaviour).
-  kTokenTruncate,
-  // Truncate the KV cache directly; valid only with decoupled PE (§3.4).
-  kKvTruncate,
-  // Truncate a *coupled*-PE KV cache directly: positions scramble. This is
-  // the NKVT baseline of §4.3.5 and exists to reproduce its failure.
-  kNaiveKvTruncate,
-  // Invalidate the saved cache and recompute (the OF baseline of §4.3.4).
-  kInvalidate,
-};
-
 struct EngineOptions {
   // Reuse KV caches across turns (CachedAttention). False = recompute (RE).
   bool reuse_kv = true;
-  OverflowPolicy overflow_policy = OverflowPolicy::kKvTruncate;
   // AttentionStore configuration; real_payloads is forced on.
   StoreConfig store;
   // Save KV caches on a background write stream (§3.2.2's async saving).
   bool async_save = false;
-  // KV cache compression (token-discarding list, §3.4 end). Applied to the
-  // session cache at the end of each turn; requires decoupled PE. The
-  // kImportance policy scores tokens by the attention mass they received
-  // during the current turn.
-  CompressionConfig compression;
 };
 
 // Per-turn outcome and accounting.
@@ -78,7 +59,6 @@ struct TurnResult {
   std::uint64_t prompt_tokens = 0;    // history + new input
   std::uint64_t computed_tokens = 0;  // prompt tokens actually prefilled
   std::uint64_t reused_tokens = 0;    // prompt tokens served from the cache
-  std::uint64_t compressed_tokens = 0;  // tokens discarded by the TDL policy
   bool cache_hit = false;
   Tier hit_tier = Tier::kNone;
   bool truncated = false;
@@ -99,7 +79,6 @@ struct EngineStats {
   std::uint64_t computed_tokens = 0;
   std::uint64_t reused_tokens = 0;
   std::uint64_t truncations = 0;
-  std::uint64_t compressed_tokens = 0;
   // Store faults degraded to a recompute (DESIGN.md §10): a saved KV cache
   // failed to load back (I/O error, corruption, poisoned payload) and the
   // turn fell through to a full prefill instead of erroring out.
@@ -124,8 +103,8 @@ struct SessionSnapshot {
   std::vector<TokenId> history;
   std::optional<ExportedRecord> record;
   // Whether the snapshotted KV rows are the pure prefill of `history`
-  // (DESIGN.md §17). Impure caches (KV-truncated or TDL-compressed rows)
-  // must never enter the cross-session prefix index on the importing shard.
+  // (DESIGN.md §17). Impure (KV-truncated) caches must never enter the
+  // cross-session prefix index on the importing shard.
   bool kv_pure = true;
 };
 
@@ -250,13 +229,12 @@ class CachedAttentionEngine {
   struct SessionState {
     std::vector<TokenId> history;  // token text, already truncation-clamped
     // True while the session's KV rows equal a from-scratch prefill of
-    // `history` under the current PE mode. KV truncation drops front rows
-    // whose context the survivors already attended over, and TDL
-    // compression discards interior rows — both leave rows that a fresh
-    // prefill of the visible history would not reproduce, so such caches
-    // are excluded from cross-session prefix sharing (they would poison
-    // the dedup index for sessions with genuinely identical prefixes). A
-    // full recompute restores purity.
+    // `history`. KV truncation drops front rows whose context the
+    // survivors already attended over, leaving rows that a fresh prefill
+    // of the visible history would not reproduce, so such caches are
+    // excluded from cross-session prefix sharing (they would poison the
+    // dedup index for sessions with genuinely identical prefixes). A full
+    // recompute restores purity.
     bool kv_pure = true;
   };
 
@@ -268,13 +246,13 @@ class CachedAttentionEngine {
 
   // Prepares the KV cache for a turn over `input`: handles overflow, then
   // loads the session's own record or, on a miss, reads the longest shared
-  // prefix of history + input from the store (of the history alone unless
-  // `input_from_chunks`) and prefills the rest of the history. On return
-  // `cache` holds the history plus the returned number of leading input
-  // tokens; `result` has hit, truncation and token accounting filled in.
+  // prefix of history + input from the store and prefills the rest of the
+  // history. On return `cache` holds the history plus the returned number
+  // of leading input tokens; `result` has hit, truncation and token
+  // accounting filled in.
   Result<std::size_t> PrepareCache(SessionId session, SessionState& state,
-                                   std::span<const TokenId> input, bool input_from_chunks,
-                                   KvCache& cache, TurnResult& result) CA_EXCLUDES(mutex_);
+                                   std::span<const TokenId> input, KvCache& cache,
+                                   TurnResult& result) CA_EXCLUDES(mutex_);
 
   // The one KV load (DESIGN.md §10, §17), behind an own-record hit and a
   // prefix read alike: `read` runs under the engine mutex and streams a
@@ -286,11 +264,6 @@ class CachedAttentionEngine {
   std::optional<KvCache> LoadCache(SessionId session,
                                    const std::function<Status(ChunkedPayloadSink&)>& read,
                                    TurnResult& result) CA_EXCLUDES(mutex_);
-
-  // Applies the configured TDL compression to the cache and the session's
-  // visible history. Returns the number of discarded tokens.
-  std::size_t MaybeCompress(SessionState& state, KvCache& cache,
-                            std::span<const float> importance);
 
   // Accumulates a turn's counters into stats_ and the live registry
   // handles. Locks the engine mutex: turns finishing on different worker
@@ -304,15 +277,12 @@ class CachedAttentionEngine {
   // stores ignore it. A pure cache (state.kv_pure) also hands the store its
   // history as dedup tokens, so identical prefixes dedup across sessions
   // when the store shares prefixes; an impure one is stored whole as the
-  // session's own piece.
+  // session's own piece. The cache is serialized once, outside the engine
+  // mutex; the Put runs inline, or on the write stream when async_save.
   void SaveCache(SessionId session, const KvCache& cache, const SessionState& state)
       CA_EXCLUDES(mutex_);
   void WaitForPendingSave(SessionId session) CA_EXCLUDES(mutex_);
   SchedulerHints CurrentHintsLocked() const CA_REQUIRES(mutex_);
-  PeMode pe_mode() const {
-    return options_.overflow_policy == OverflowPolicy::kNaiveKvTruncate ? PeMode::kCoupled
-                                                                        : PeMode::kDecoupled;
-  }
 
   const Transformer* model_;  // unguarded: set in ctor, immutable after
   EngineOptions options_;     // unguarded: set in ctor, immutable after

@@ -35,13 +35,6 @@ ModelConfig ModelConfig::MiniGqa1() {
   return c;
 }
 
-ModelConfig ModelConfig::MiniLong() {
-  ModelConfig c = Mini();
-  c.name = "mini-long";
-  c.context_window = 512;
-  return c;
-}
-
 ModelConfig ModelConfig::Tiny() {
   ModelConfig c;
   c.name = "tiny";
@@ -120,18 +113,6 @@ ModelDescriptor ModelDescriptor::Mistral7B() {
       .kv_bytes_per_token = 131072,
       .context_window = 32768,
       .num_gpus = 1,
-      .max_batch = 24,
-  };
-}
-
-ModelDescriptor ModelDescriptor::Opt13B() {
-  return ModelDescriptor{
-      .name = "OPT-13B",
-      .params = 13 * kBillion,
-      .n_layers = 40,
-      .kv_bytes_per_token = 819200,
-      .context_window = 2048,
-      .num_gpus = 2,
       .max_batch = 24,
   };
 }

@@ -76,7 +76,6 @@ struct ModelConfig {
   // Executable presets.
   static ModelConfig Mini();       // 4L/8H/GQA4, d=128: default test model
   static ModelConfig MiniGqa1();   // MHA variant (n_kv_heads == n_heads)
-  static ModelConfig MiniLong();   // longer context window for overflow tests
   static ModelConfig Tiny();       // 2L/4H, d=64: fastest, for property sweeps
 };
 
@@ -100,7 +99,6 @@ struct ModelDescriptor {
   static ModelDescriptor Llama70B();
   static ModelDescriptor Falcon40B();
   static ModelDescriptor Mistral7B();
-  static ModelDescriptor Opt13B();  // 2K context window family (§2.4)
 
   // The four models of the end-to-end evaluation, in paper order.
   static std::vector<ModelDescriptor> EvaluationSuite();

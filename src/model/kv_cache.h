@@ -113,8 +113,7 @@ class KvCache {
   }
 
   // Restartable cursor over the wire bytes of tokens [token_begin,
-  // token_end). Fill() copies straight out of the cache's tensors, so the
-  // engine's save path lands KV bytes directly in tier block memory. The
+  // token_end). Fill() copies straight out of the cache's tensors. The
   // cache must stay alive and unmodified while the cursor reads it.
   class TokenMajorSerializer {
    public:
@@ -139,7 +138,7 @@ class KvCache {
     std::size_t row_off_ = 0;  // bytes already emitted of the current row
   };
 
-  // Materialised wire form of the whole cache (async save path).
+  // Materialised wire form of the whole cache (the engine's save path).
   std::vector<std::uint8_t> SerializeTokenMajor() const;
 
   // Streaming inverse of the wire form. seq_len arrives out of band (the

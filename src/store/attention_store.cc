@@ -1092,7 +1092,6 @@ std::optional<SessionId> AttentionStore::PickVictim(Tier tier, SessionId exclude
     if (r.tier != tier || id == exclude) {
       continue;
     }
-    std::uint32_t shared_refs = 0;
     if (IsChunkId(id)) {
       if (std::find(pinned_chunks_.begin(), pinned_chunks_.end(), id) != pinned_chunks_.end()) {
         continue;  // in-flight pin: refcount cannot drain through referrers
@@ -1101,13 +1100,9 @@ std::optional<SessionId> AttentionStore::PickVictim(Tier tier, SessionId exclude
           std::find(exclude_refs->begin(), exclude_refs->end(), id) != exclude_refs->end()) {
         continue;
       }
-      shared_refs = chunks_.at(id).refcount;
     }
-    candidates.push_back(VictimView{.session = id,
-                                    .last_access = r.last_access,
-                                    .insert_seq = r.insert_seq,
-                                    .bytes = r.bytes,
-                                    .shared_refs = shared_refs});
+    candidates.push_back(
+        VictimView{.session = id, .last_access = r.last_access, .insert_seq = r.insert_seq});
   }
   if (candidates.empty()) {
     return std::nullopt;

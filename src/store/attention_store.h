@@ -177,7 +177,7 @@ class ChunkedPayloadSource {
   virtual PayloadSource& Range(std::uint64_t token_begin, std::uint64_t token_end) = 0;
 };
 
-// ChunkedPayloadSource over a contiguous buffer (async saves, migration
+// ChunkedPayloadSource over a contiguous buffer (engine saves, migration
 // imports, tests, benches). Opaque bytes of any size are one token of
 // bytes.size() bytes.
 class SpanChunkSource final : public ChunkedPayloadSource {

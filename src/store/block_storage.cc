@@ -129,9 +129,11 @@ std::uint64_t PooledBlockStorage::block_bytes() const {
 }
 
 MemoryBlockStorage::MemoryBlockStorage(std::uint64_t capacity_bytes, std::uint64_t block_bytes)
-    : PooledBlockStorage(capacity_bytes, block_bytes) {
-  arena_.resize(allocator_.capacity_bytes());
-}
+    : PooledBlockStorage(capacity_bytes, block_bytes),
+      // Left uninitialised: every read covers bytes a write filled (an
+      // extent's first byte_length bytes), so memory never written is never
+      // read, and a tier's untouched capacity costs no resident memory.
+      arena_(std::make_unique_for_overwrite<std::uint8_t[]>(allocator_.capacity_bytes())) {}
 
 Status MemoryBlockStorage::WriteBlock(BlockId block, std::uint64_t len, PayloadSource& source) {
   // The producer serializes straight into arena memory.

@@ -203,10 +203,10 @@ class MemoryBlockStorage final : public PooledBlockStorage {
 
  private:
   std::uint8_t* BlockPtr(BlockId block) CA_REQUIRES(mutex_) {
-    return arena_.data() + static_cast<std::uint64_t>(block) * allocator_.block_bytes();
+    return arena_.get() + static_cast<std::uint64_t>(block) * allocator_.block_bytes();
   }
 
-  std::vector<std::uint8_t> arena_ CA_GUARDED_BY(mutex_);
+  std::unique_ptr<std::uint8_t[]> arena_ CA_GUARDED_BY(mutex_);
 };
 
 struct DiskIoOptions {

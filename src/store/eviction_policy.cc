@@ -59,20 +59,6 @@ std::optional<SessionId> SchedulerAwarePolicy::PickVictim(std::span<const Victim
   return tail->session;
 }
 
-std::optional<SessionId> DedupAwarePolicy::PickVictim(std::span<const VictimView> candidates,
-                                                      const SchedulerHints& hints) {
-  (void)hints;  // refcount + history policy
-  CA_CHECK(!candidates.empty());
-  const VictimView* best = &candidates[0];
-  for (const auto& c : candidates) {
-    if (c.shared_refs != best->shared_refs ? c.shared_refs < best->shared_refs
-                                           : c.last_access < best->last_access) {
-      best = &c;
-    }
-  }
-  return best->session;
-}
-
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(std::string_view name) {
   if (name == "lru" || name == "LRU") {
     return std::make_unique<LruPolicy>();
@@ -82,9 +68,6 @@ std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(std::string_view name) {
   }
   if (name == "scheduler-aware" || name == "CA") {
     return std::make_unique<SchedulerAwarePolicy>();
-  }
-  if (name == "dedup-aware") {
-    return std::make_unique<DedupAwarePolicy>();
   }
   CA_CHECK(false) << "unknown eviction policy: " << name;
   return nullptr;

@@ -25,12 +25,6 @@ struct VictimView {
   SessionId session = kInvalidSession;
   SimTime last_access = 0;
   std::uint64_t insert_seq = 0;  // monotonically increasing insertion counter
-  std::uint64_t bytes = 0;
-  // Prefix sharing (DESIGN.md §17): number of session block tables
-  // referencing this candidate. 0 for ordinary session records; > 0 marks a
-  // shared chunk, whose eviction costs every referrer a future miss — its
-  // eviction priority should scale with 1/shared_refs.
-  std::uint32_t shared_refs = 0;
 };
 
 class EvictionPolicy {
@@ -69,19 +63,7 @@ class SchedulerAwarePolicy final : public EvictionPolicy {
                                       const SchedulerHints& hints) override;
 };
 
-// Sharing-aware refinement (DESIGN.md §17): evicting a chunk referenced by
-// k sessions turns into k future misses, so candidates are ordered by
-// (shared_refs, last_access) — unshared LRU victims first, then the chunk
-// with the fewest referrers (eviction cost ∝ 1/refcount: cheap blocks go
-// first, heavily shared blocks are the most valuable bytes in the tier).
-class DedupAwarePolicy final : public EvictionPolicy {
- public:
-  std::string_view name() const override { return "dedup-aware"; }
-  std::optional<SessionId> PickVictim(std::span<const VictimView> candidates,
-                                      const SchedulerHints& hints) override;
-};
-
-// Factory by name ("lru", "fifo", "scheduler-aware", "dedup-aware").
+// Factory by name ("lru", "fifo", "scheduler-aware").
 std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(std::string_view name);
 
 }  // namespace ca

@@ -1,11 +1,11 @@
 // KV compression (token-discarding list) tests: TDL construction rules,
-// attention-mass accumulation, cache application, and engine integration.
+// attention-mass accumulation and cache application. The engine does not
+// compress; bench/ablation_kv_compression measures TDL on the model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "src/core/cached_attention.h"
 #include "src/model/compression.h"
 #include "src/model/transformer.h"
 
@@ -158,51 +158,6 @@ TEST(CompressCacheTest, CompressedCacheMatchesRebuiltOneLayer) {
   const Tensor l1 = model.Forward(probe, c1);
   const Tensor l2 = model.Forward(probe, c2);
   EXPECT_LT(MaxAbsDiff(l1, l2), 2e-4f);
-}
-
-TEST(EngineCompressionTest, LongSessionStaysBounded) {
-  const Transformer model(ModelConfig::Mini(), 13);
-  EngineOptions options;
-  options.store.dram_capacity = MiB(64);
-  options.store.disk_capacity = MiB(256);
-  options.store.block_bytes = KiB(64);
-  options.compression.policy = CompressionPolicy::kAttentionSink;
-  options.compression.sink_tokens = 4;
-  options.compression.recent_tokens = 64;
-  CachedAttentionEngine engine(&model, options);
-
-  const std::size_t vocab = model.config().vocab_size;
-  for (int turn = 0; turn < 6; ++turn) {
-    const auto result =
-        engine.Converse(1, MakeTokens(40, 100 + turn, vocab), 10);
-    ASSERT_TRUE(result.ok());
-    if (turn > 0) {
-      EXPECT_TRUE(result->cache_hit);
-    }
-    // Sinks + recents bound the carried history.
-    EXPECT_LE(engine.SessionHistory(1).size(), 4U + 64U + 50U);
-  }
-  EXPECT_GT(engine.stats().compressed_tokens, 0ULL);
-}
-
-TEST(EngineCompressionTest, ImportancePolicyRunsAndAccumulates) {
-  const Transformer model(ModelConfig::Mini(), 13);
-  EngineOptions options;
-  options.store.dram_capacity = MiB(64);
-  options.store.disk_capacity = MiB(256);
-  options.store.block_bytes = KiB(64);
-  options.compression.policy = CompressionPolicy::kImportance;
-  options.compression.sink_tokens = 2;
-  options.compression.recent_tokens = 16;
-  options.compression.middle_keep_ratio = 0.5;
-  CachedAttentionEngine engine(&model, options);
-
-  const std::size_t vocab = model.config().vocab_size;
-  for (int turn = 0; turn < 4; ++turn) {
-    ASSERT_TRUE(engine.Converse(1, MakeTokens(30, 200 + turn, vocab), 8).ok());
-  }
-  EXPECT_GT(engine.stats().compressed_tokens, 0ULL);
-  EXPECT_LT(engine.SessionHistory(1).size(), 4U * 38U);  // well below uncompressed
 }
 
 }  // namespace

@@ -13,9 +13,9 @@ namespace {
 std::vector<VictimView> Candidates() {
   // session, last_access, insert_seq.
   return {
-      {.session = 10, .last_access = 30, .insert_seq = 0, .bytes = 1},
-      {.session = 11, .last_access = 10, .insert_seq = 1, .bytes = 1},
-      {.session = 12, .last_access = 20, .insert_seq = 2, .bytes = 1},
+      {.session = 10, .last_access = 30, .insert_seq = 0},
+      {.session = 11, .last_access = 10, .insert_seq = 1},
+      {.session = 12, .last_access = 20, .insert_seq = 2},
   };
 }
 
@@ -71,47 +71,12 @@ TEST(SchedulerAwarePolicyTest, NoHintsFallsBackToLru) {
 
 TEST(SchedulerAwarePolicyTest, SingleCandidateAlwaysChosen) {
   SchedulerAwarePolicy policy;
-  std::vector<VictimView> one = {{.session = 5, .last_access = 1, .insert_seq = 0, .bytes = 1}};
+  std::vector<VictimView> one = {{.session = 5, .last_access = 1, .insert_seq = 0}};
   SchedulerHints hints;
   hints.next_use_index[5] = 0;  // even though it is needed next
   const auto victim = policy.PickVictim(one, hints);
   ASSERT_TRUE(victim.has_value());
   EXPECT_EQ(*victim, 5U);
-}
-
-TEST(DedupAwarePolicyTest, UnsharedVictimsGoFirst) {
-  DedupAwarePolicy policy;
-  // A shared chunk (2 referrers) is LRU-coldest, but evicting it costs two
-  // sessions a miss; the unshared records must go first, LRU among them.
-  const std::vector<VictimView> cands = {
-      {.session = 10, .last_access = 1, .insert_seq = 0, .bytes = 1, .shared_refs = 2},
-      {.session = 11, .last_access = 30, .insert_seq = 1, .bytes = 1, .shared_refs = 0},
-      {.session = 12, .last_access = 20, .insert_seq = 2, .bytes = 1, .shared_refs = 0},
-  };
-  const auto victim = policy.PickVictim(cands, SchedulerHints{});
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 12U);
-}
-
-TEST(DedupAwarePolicyTest, AmongChunksFewestReferrersGoesFirst) {
-  DedupAwarePolicy policy;
-  // All candidates are shared chunks: eviction cost scales with refcount,
-  // so the 1-referrer chunk loses to nothing else despite being hottest.
-  const std::vector<VictimView> cands = {
-      {.session = 20, .last_access = 1, .insert_seq = 0, .bytes = 1, .shared_refs = 5},
-      {.session = 21, .last_access = 99, .insert_seq = 1, .bytes = 1, .shared_refs = 1},
-      {.session = 22, .last_access = 2, .insert_seq = 2, .bytes = 1, .shared_refs = 3},
-  };
-  const auto victim = policy.PickVictim(cands, SchedulerHints{});
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 21U);
-}
-
-TEST(DedupAwarePolicyTest, EqualRefsFallBackToLru) {
-  DedupAwarePolicy policy;
-  const auto victim = policy.PickVictim(Candidates(), SchedulerHints{});
-  ASSERT_TRUE(victim.has_value());
-  EXPECT_EQ(*victim, 11U);  // all shared_refs 0: plain LRU
 }
 
 TEST(PolicyFactoryTest, MakesAllPolicies) {
@@ -120,11 +85,11 @@ TEST(PolicyFactoryTest, MakesAllPolicies) {
   EXPECT_EQ(MakeEvictionPolicy("fifo")->name(), "FIFO");
   EXPECT_EQ(MakeEvictionPolicy("scheduler-aware")->name(), "scheduler-aware");
   EXPECT_EQ(MakeEvictionPolicy("CA")->name(), "scheduler-aware");
-  EXPECT_EQ(MakeEvictionPolicy("dedup-aware")->name(), "dedup-aware");
 }
 
 TEST(PolicyFactoryDeathTest, UnknownNameAborts) {
   EXPECT_DEATH((void)MakeEvictionPolicy("belady"), "unknown eviction policy");
+  EXPECT_DEATH((void)MakeEvictionPolicy("dedup-aware"), "unknown eviction policy");
 }
 
 TEST(SchedulerHintsTest, NextUseAndWindow) {
@@ -154,7 +119,7 @@ TEST(SchedulerAwarePolicyTest, BeatsLruOnAdversarialTrace) {
       if (cache.size() >= 2) {
         std::vector<VictimView> cands;
         for (const SessionId c : cache) {
-          cands.push_back({.session = c, .last_access = 0, .insert_seq = c, .bytes = 1});
+          cands.push_back({.session = c, .last_access = 0, .insert_seq = c});
         }
         SchedulerHints hints;
         if (give_hints) {

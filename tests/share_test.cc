@@ -17,15 +17,13 @@
 //  * access checkpoints (the S1 bugfix): post-recovery eviction order
 //    follows real recency, not journal-upsert order;
 //  * engine-level differential soak: replies are bitwise-identical with
-//    sharing on vs off (with and without KV compression), caches tainted by
-//    KV truncation fall back to private records (an empty block table),
+//    sharing on vs off (with and without window overflow), caches tainted
+//    by KV truncation fall back to private records (an empty block table),
 //    async saves are fenced by ExportSession (S2), and a durable sharing
 //    engine resumes identically after a kill-restart;
 //  * prefix reads: the store streams exactly the matched whole chunks, and
 //    a missed turn loads its shared prompt's chunks and prefills only the
-//    rest — bitwise equal to sharing off, with the input
-//    kept out of the read where every input row must be computed
-//    (kImportance compression), and with checksum faults on
+//    rest — bitwise equal to sharing off, and with checksum faults on
 //    either the session's own piece or a shared chunk degrading to a
 //    shorter read or a full prefill.
 #include <gtest/gtest.h>
@@ -42,7 +40,6 @@
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/core/cached_attention.h"
-#include "src/model/compression.h"
 #include "src/model/transformer.h"
 #include "src/store/attention_store.h"
 #include "tests/store_test_util.h"
@@ -340,15 +337,14 @@ TEST(SharedPrefix, RePutUpdatesBlockTableWithoutLeaking) {
   EXPECT_EQ(store.ChunkCount(), 0U);
 }
 
-// Capacity pressure with shared chunks: evictions (including chunk
-// cascades onto every referrer) must keep the refcount invariants — audit
-// mode aborts on any double-free or leak — and surviving sessions must
-// still read back bitwise.
+// Capacity pressure with shared chunks, under the default eviction policy:
+// evictions (including chunk cascades onto every referrer) must keep the
+// refcount invariants — audit mode aborts on any double-free or leak — and
+// surviving sessions must still read back bitwise.
 TEST(SharedPrefix, EvictionCascadeKeepsInvariants) {
   StoreConfig c = ShareConfig();
   c.dram_capacity = KiB(128);
   c.disk_capacity = KiB(128);
-  c.eviction_policy = "dedup-aware";
   AttentionStore store(c);
 
   std::unordered_map<SessionId, std::vector<std::uint32_t>> token_seqs;
@@ -366,7 +362,10 @@ TEST(SharedPrefix, EvictionCascadeKeepsInvariants) {
   }
   // The working set (~320 KiB of chunk + tail payload) exceeds both tiers
   // combined (256 KiB), so something must have been evicted along the way.
+  // Nothing is removed, so a freed chunk left through eviction: the shared
+  // chunk path, not only private records, was exercised.
   EXPECT_GT(store.stats().evictions_out, 0ULL);
+  EXPECT_GT(store.stats().chunks_freed, 0ULL);
   std::size_t survivors = 0;
   for (const auto& [s, tokens] : token_seqs) {
     if (!store.GetInfo(s).has_value()) {
@@ -615,20 +614,16 @@ EngineOptions ShareEngineOptions() {
 
 // The determinism bar: with many sessions opening on a common prompt,
 // replies must be bitwise-identical with sharing on vs off — sharing
-// changes where bytes live, never what the model computes. The
-// compression-enabled engine flips purity turn to turn (the first turn's
-// save fits under the TDL budget and dedups; later turns discard tokens and
-// are stored whole), so one session's saves switch between a block table
-// and an empty one.
+// changes where bytes live, never what the model computes. Long follow-ups
+// overflow the window on the third turn: the engine truncates the loaded
+// cache, which makes it impure, so one session's saves switch from a block
+// table to an empty one.
 TEST(ShareEngine, RepliesBitwiseIdenticalSharingOnVsOff) {
   Transformer model(ModelConfig::Mini(), 51);
-  for (const CompressionPolicy policy :
-       {CompressionPolicy::kNone, CompressionPolicy::kAttentionSink}) {
-    SCOPED_TRACE(policy == CompressionPolicy::kNone ? "no compression" : "attention-sink TDL");
-    EngineOptions on_opts = ShareEngineOptions();
-    on_opts.compression.policy = policy;
-    CachedAttentionEngine on(&model, on_opts);
-    EngineOptions off_opts = on_opts;
+  for (const bool overflow : {false, true}) {
+    SCOPED_TRACE(overflow ? "follow-ups overflow the window" : "short follow-ups");
+    CachedAttentionEngine on(&model, ShareEngineOptions());
+    EngineOptions off_opts = ShareEngineOptions();
     off_opts.store.share_prefixes = false;
     CachedAttentionEngine off(&model, off_opts);
 
@@ -637,21 +632,29 @@ TEST(ShareEngine, RepliesBitwiseIdenticalSharingOnVsOff) {
     // Every session opens with the same system prompt (the shared prefix),
     // then diverges onto its own turns.
     const auto prompt = MakeTokens(24, 4242, model.config().vocab_size);
-    std::uint64_t compressed = 0;
+    std::uint64_t truncated = 0;
     for (std::size_t t = 0; t < kTurns; ++t) {
       for (SessionId s = 1; s <= kSessions; ++s) {
+        const std::size_t followup = overflow ? 120 : 5 + t;
         const auto input =
-            t == 0 ? prompt : MakeTokens(5 + t, 1000 * s + t, model.config().vocab_size);
+            t == 0 ? prompt : MakeTokens(followup, 1000 * s + t, model.config().vocab_size);
         auto ron = on.Converse(s, input, 6);
         auto roff = off.Converse(s, input, 6);
         ASSERT_TRUE(ron.ok()) << ron.status();
         ASSERT_TRUE(roff.ok()) << roff.status();
         EXPECT_EQ(ron->reply, roff->reply) << "turn " << t << " session " << s;
         EXPECT_EQ(on.SessionHistory(s), off.SessionHistory(s));
-        compressed += ron->compressed_tokens;
+        EXPECT_EQ(ron->truncated, roff->truncated) << "turn " << t << " session " << s;
+        truncated += ron->truncated ? 1 : 0;
+        // A pure save keeps a block table (payload beyond its own bytes); a
+        // truncated one is stored whole.
+        const auto info = on.store().GetInfo(s);
+        ASSERT_TRUE(info.has_value());
+        EXPECT_EQ(info->payload_bytes > info->bytes, !ron->truncated)
+            << "turn " << t << " session " << s;
       }
     }
-    EXPECT_EQ(compressed > 0, policy != CompressionPolicy::kNone);
+    EXPECT_EQ(truncated, overflow ? kSessions : 0U);
     // Sharing must actually have engaged: turn-1 saves dedup the prompt.
     const StoreStats& st = on.store().stats();
     EXPECT_GT(st.shared_puts, 0ULL);
@@ -668,49 +671,6 @@ TEST(ShareEngine, RepliesBitwiseIdenticalSharingOnVsOff) {
     EXPECT_EQ(on.store().ChunkCount(), 0U);
     on.store().CheckInvariants();
   }
-}
-
-// Under kImportance compression the attention-mass observer must see every
-// input row, so a missed turn may take only its history from shared chunks,
-// never its input. Session 1 opens on the prompt alone, under the sink +
-// recent budget, so its save is pure and publishes the prompt's chunks.
-// Sessions 2-4 open on the prompt plus 20/30/40 more tokens: had their
-// input come from chunks, the observer would miss the prompt rows and the
-// compressed histories, and so the second turns, would differ.
-TEST(ShareEngine, ImportanceCompressionMatchesSharingOff) {
-  Transformer model(ModelConfig::Mini(), 51);
-  const std::size_t vocab = model.config().vocab_size;
-  EngineOptions on_opts = ShareEngineOptions();
-  on_opts.compression.policy = CompressionPolicy::kImportance;
-  CachedAttentionEngine on(&model, on_opts);
-  EngineOptions off_opts = on_opts;
-  off_opts.store.share_prefixes = false;
-  CachedAttentionEngine off(&model, off_opts);
-
-  const auto prompt = MakeTokens(24, 4242, vocab);
-  constexpr SessionId kSessions = 4;
-  for (std::size_t t = 0; t < 2; ++t) {
-    for (SessionId s = 1; s <= kSessions; ++s) {
-      std::vector<TokenId> input = MakeTokens(5, 100 * s + t, vocab);
-      if (t == 0) {
-        input = prompt;
-        const auto more = MakeTokens(s == 1 ? 0 : 10 * s, 200 + s, vocab);
-        input.insert(input.end(), more.begin(), more.end());
-      }
-      auto ron = on.Converse(s, input, 6);
-      auto roff = off.Converse(s, input, 6);
-      ASSERT_TRUE(ron.ok()) << ron.status();
-      ASSERT_TRUE(roff.ok()) << roff.status();
-      EXPECT_EQ(ron->reply, roff->reply) << "turn " << t << " session " << s;
-      EXPECT_EQ(on.SessionHistory(s), off.SessionHistory(s)) << "turn " << t << " session " << s;
-      if (t == 0) {
-        EXPECT_EQ(ron->reused_tokens, 0U) << "session " << s << " read its input from chunks";
-        EXPECT_EQ(ron->compressed_tokens > 0, s > 1) << "session " << s;
-      }
-    }
-  }
-  EXPECT_EQ(on.stats().cache_load_faults, 0U);
-  on.store().CheckInvariants();
 }
 
 // A brand-new session opening on a prompt the store already holds streams
@@ -850,9 +810,7 @@ TEST(ShareEngine, CorruptChunkDuringPrefixReadFallsBackToFullPrefill) {
 // back to a private record — and recover purity on the next full recompute.
 TEST(ShareEngine, TruncatedCachesFallBackToPrivateRecords) {
   Transformer model(ModelConfig::Mini(), 51);
-  EngineOptions options = ShareEngineOptions();
-  options.overflow_policy = OverflowPolicy::kKvTruncate;
-  CachedAttentionEngine engine(&model, options);
+  CachedAttentionEngine engine(&model, ShareEngineOptions());
   const std::size_t window = model.config().context_window;
 
   // Fill most of the window; the save is pure and shared.

@@ -305,8 +305,9 @@ StoreConfig PayloadConfig() {
 }
 
 // ChunkedPayloadSource that generates PatternSource's bytes per token range
-// on demand, with no backing buffer — the shape of the engine's
-// cache-backed source, next to the SpanChunkSource its async saves use.
+// on demand, with no backing buffer. It checks that Put pulls a source range
+// by range and never needs the whole payload as one buffer, which the
+// SpanChunkSource the engine saves through always has.
 class PatternChunkSource final : public ChunkedPayloadSource, private PayloadSource {
  public:
   PatternChunkSource(std::uint64_t tokens, std::uint64_t bytes_per_token)

@@ -3,7 +3,9 @@
 // used-bytes accounting invariant.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/common/check.h"
@@ -12,6 +14,21 @@
 #include "src/store/block_allocator.h"
 #include "src/store/block_storage.h"
 #include "tests/store_test_util.h"
+
+// Sanitizer detection (gcc defines __SANITIZE_*__, clang goes through
+// __has_feature). Sanitizer runtimes keep shadow memory of their own, so
+// the resident-memory test below only runs in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CA_STORE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+#define CA_STORE_TEST_SANITIZED 1
+#endif
+#endif
+#ifndef CA_STORE_TEST_SANITIZED
+#define CA_STORE_TEST_SANITIZED 0
+#endif
 
 namespace ca {
 namespace {
@@ -130,6 +147,39 @@ TEST_P(BlockStorageTest, ManyRecordsInterleaved) {
 
 INSTANTIATE_TEST_SUITE_P(MemoryAndFile, BlockStorageTest, ::testing::Bool(),
                          [](const auto& param_info) { return param_info.param ? "File" : "Memory"; });
+
+// This process's resident set size from /proc/self/status, or 0 where the
+// file has no VmRSS line.
+std::uint64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+// The memory tier's arena is not zero-filled: a 1 GiB tier costs resident
+// memory only for the blocks written into it.
+TEST(MemoryBlockStorageTest, UntouchedCapacityIsNotResident) {
+  if (CA_STORE_TEST_SANITIZED) {
+    GTEST_SKIP() << "sanitizer runtimes keep memory of their own";
+  }
+  const std::uint64_t before = ResidentBytes();
+  if (before == 0) {
+    GTEST_SKIP() << "no VmRSS in /proc/self/status";
+  }
+  MemoryBlockStorage storage(GiB(1), KiB(64));
+  const auto data = Payload(MiB(1), 9);
+  auto extent = WriteBytes(storage, data);
+  ASSERT_TRUE(extent.ok());
+  auto read = ReadBytes(storage, *extent);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, data);
+  EXPECT_LT(ResidentBytes(), before + MiB(64));
+}
 
 // --- AttentionStore ------------------------------------------------------
 
